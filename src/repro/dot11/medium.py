@@ -23,31 +23,46 @@ cluster the way real channel contention clusters them; it draws from a
 dedicated ``faults.channel`` RNG stream and counts every drop under the
 ``faults.frames_lost`` metric, so enabling it never perturbs the
 uniform channel's draws and a run without it is byte-identical to one
-built before bursty loss existed.
+built before bursty loss existed.  Both flavours apply to every probe
+response in either fidelity: a burst's responses each cross the channel
+on their own.
 
 Spatial index
 -------------
 
 Broadcast recipient resolution historically scanned every attached
-station per frame — O(N) per probe, O(N²)-ish per urban-scale run.  The
-medium now keeps a :class:`~repro.geo.grid.MutableSpatialGrid` of
-station positions and resolves broadcast recipients from the cells
-around the sender instead.  The index is *provably a pure accelerator*:
+station per frame, calling ``position_at`` on each — O(N) scalar calls
+per probe.  The medium now resolves broadcasts through two indexes, and
+both are *provably pure accelerators*:
 
-* Stations carrying a finite speed bound (``max_speed_mps``; phones
-  derive it from their :meth:`~repro.mobility.base.PathMobility.max_speed`)
-  are binned at their last refresh position.  A query at time ``now``
-  inflates the search radius by ``v_max * (now - refresh_time)``, so a
-  station that walked since the refresh can never be missed; candidates
-  are then re-checked with the exact same distance predicate as the
-  brute-force scan.  The grid is refreshed lazily, at most once per
-  ``index_refresh_s`` of simulated time, rebinning only stations whose
-  cell changed.
+* **Path table.**  Stations whose kinematics are data — a
+  :class:`~repro.mobility.base.PathMobility` behind ``mobility``
+  (phones), or a fixed ``position`` under a zero speed bound (APs,
+  rogue APs, detectors) — are rows of a struct-of-arrays
+  :class:`~repro.mobility.batch.PathTable`, in attach order.  A
+  broadcast evaluates the whole table at delivery time in one numpy
+  pass (cached per distinct ``now``), bitwise equal to the scalar
+  ``position_at``, and runs one vector distance test against the
+  sender.  ``np.hypot`` may differ from ``math.hypot`` by one ulp, so a
+  station is accepted or rejected on the vector distance only when it
+  clears ``reach`` by the relative :data:`HYPOT_BAND`; stations inside
+  the band are re-checked with the scalar
+  :meth:`~repro.geo.point.Point.distance_to`.
+* **Grid.**  Stations that expose only ``position_at`` plus a finite
+  speed bound (``max_speed_mps``) live in a
+  :class:`~repro.geo.grid.MutableSpatialGrid`, binned at their last
+  refresh position.  A query at time ``now`` inflates the search radius
+  by ``v_max * (now - refresh_time)``, so a station that walked since
+  the refresh can never be missed; candidates are then re-checked with
+  the exact same distance predicate as the brute-force scan.  The grid
+  is refreshed lazily, at most once per ``index_refresh_s`` of
+  simulated time, rebinning only stations whose cell changed.
 * Stations without a speed bound live in an always-scanned side set —
   exactness never depends on cooperative station classes.
-* Candidates are re-ordered by attach sequence before delivery, so loss
-  draws and ``receive`` callbacks happen in the identical order as the
-  brute-force path.
+* Table hits come out in attach order; grid and side-set candidates are
+  sorted by attach sequence and, when there are any, merged with the
+  table hits by it, so loss draws and ``receive`` callbacks happen in
+  the identical order as the brute-force path.
 * Stochastic propagation models (``propagation.deterministic`` False)
   consume one RNG draw per *candidate*, so the index automatically
   falls back to the brute-force scan for them.
@@ -63,6 +78,8 @@ import os
 from contextlib import nullcontext
 from typing import ContextManager, Dict, List, Optional, Protocol, Sequence
 
+import numpy as np
+
 from repro.dot11.frames import Frame, ProbeResponse
 from repro.dot11.mac import BROADCAST_MAC, MacAddress
 from repro.dot11.propagation import DiscPropagation, Propagation
@@ -70,6 +87,8 @@ from repro.faults.gilbert import GilbertElliottChannel
 from repro.faults.plan import GilbertElliottParams
 from repro.geo.grid import MutableSpatialGrid
 from repro.geo.point import Point
+from repro.mobility.base import PathMobility
+from repro.mobility.batch import PathTable
 from repro.sim.simulation import Simulation
 from repro.util.rng import BufferedUniform
 from repro.util.units import MANAGEMENT_FRAME_AIRTIME_S, PROBE_RESPONSE_AIRTIME_S
@@ -84,6 +103,11 @@ query touches a 3×3 block of cells."""
 DEFAULT_INDEX_REFRESH_S = 0.5
 """Maximum staleness of cached station positions.  At walking speeds
 (≤ 3 m/s) this costs at most 1.5 m of query-radius inflation."""
+
+HYPOT_BAND = 1e-12
+"""Relative half-width of the band around ``reach`` inside which the
+vector distance test defers to the scalar one: ``np.hypot`` may differ
+from ``math.hypot`` by one ulp (~2.2e-16 relative), never by this much."""
 
 
 def resolve_medium_index(index: Optional[bool] = None) -> bool:
@@ -114,7 +138,11 @@ class Station(Protocol):
 
     Stations *may* additionally expose ``max_speed_mps`` (metres per
     second, or None when unbounded); the spatial index only bins
-    stations whose displacement it can bound, and scans the rest.
+    stations whose displacement it can bound, and scans the rest.  A
+    station exposing a :class:`PathMobility` as ``mobility``, or a fixed
+    ``position`` with a zero speed bound, promises that ``position_at``
+    returns exactly that path's (or point's) position; the index then
+    evaluates it in the vectorised path table.
     """
 
     mac: MacAddress
@@ -180,6 +208,10 @@ class Medium:
         self._seq: Dict[MacAddress, int] = {}
         self._seq_next = 0
         self._grid: Optional[MutableSpatialGrid[MacAddress]] = None
+        self._table: Optional[PathTable[MacAddress]] = None
+        # Only the disc model is known to be exactly ``distance <= reach``,
+        # so only it may accept a station on the vector distance alone.
+        self._disc = isinstance(self.propagation, DiscPropagation)
         self._speeds: Dict[MacAddress, float] = {}
         self._unindexed: Dict[MacAddress, Station] = {}
         self._vmax = 0.0
@@ -187,9 +219,10 @@ class Medium:
         self._refresh_s = index_refresh_s
         if self._index_on:
             self._grid = MutableSpatialGrid(index_cell_m)
+            self._table = PathTable()
         self.index_queries = 0
         self.index_candidates = 0
-        self.index_refreshes = 0
+        self._grid_refreshes = 0
 
     @property
     def burst_loss(self) -> Optional[GilbertElliottChannel]:
@@ -198,8 +231,15 @@ class Medium:
 
     @property
     def index_active(self) -> bool:
-        """Whether broadcast recipients are resolved through the grid."""
+        """Whether broadcast recipients are resolved through the index."""
         return self._index_on
+
+    @property
+    def index_refreshes(self) -> int:
+        """How often the index re-evaluated positions: grid rebin sweeps
+        plus path-table passes (one per distinct broadcast time)."""
+        table = self._table.evaluations if self._table is not None else 0
+        return self._grid_refreshes + table
 
     # -- membership -------------------------------------------------------
 
@@ -258,7 +298,23 @@ class Medium:
             return None
         return bound
 
+    def _path_knots(self, station: Station):
+        """``(times, points)`` of a station whose kinematics are data,
+        else None: a :class:`PathMobility` behind ``mobility`` (phones),
+        or a fixed ``position`` under a zero speed bound (APs)."""
+        mobility = getattr(station, "mobility", None)
+        if type(mobility) is PathMobility:
+            return mobility.knots()
+        position = getattr(station, "position", None)
+        if isinstance(position, Point) and self._speed_bound(station) == 0.0:
+            return (0.0,), (position,)
+        return None
+
     def _index_add(self, station: Station) -> None:
+        knots = self._path_knots(station)
+        if knots is not None:
+            self._table.add(station.mac, *knots, rank=self._seq[station.mac])
+            return
         bound = self._speed_bound(station)
         if bound is None:
             self._unindexed[station.mac] = station
@@ -271,6 +327,7 @@ class Medium:
         self._grid.insert(station.mac, station.position_at(self.sim.now))
 
     def _index_discard(self, mac: MacAddress) -> None:
+        self._table.discard(mac)
         self._unindexed.pop(mac, None)
         if self._speeds.pop(mac, None) is not None:
             self._grid.remove(mac)
@@ -289,7 +346,7 @@ class Medium:
                     vmax = bound
         self._vmax = vmax
         self._grid_time = now
-        self.index_refreshes += 1
+        self._grid_refreshes += 1
 
     # -- propagation ------------------------------------------------------
 
@@ -332,23 +389,70 @@ class Medium:
                 if mac != sender_mac
                 and delivered(pos.distance_to(st.position_at(time)), reach, rng)
             ]
-        self._refresh_index(time)
-        radius = reach_with_motion(reach, self._vmax, time - self._grid_time)
-        macs = self._grid.candidates(pos, radius)
+        self.index_queries += 1
+        out = self._table_recipients(sender_mac, pos, reach, time)
+        macs: List[MacAddress] = []
+        if self._speeds:
+            self._refresh_index(time)
+            radius = reach_with_motion(reach, self._vmax, time - self._grid_time)
+            macs = self._grid.candidates(pos, radius)
         if self._unindexed:
             macs.extend(self._unindexed)
+        if not macs:
+            return out
         # Re-establish attach order so loss draws and receive callbacks
         # fire in the exact sequence of the brute-force scan.
-        macs.sort(key=self._seq.__getitem__)
-        self.index_queries += 1
+        seq = self._seq
+        macs.sort(key=seq.__getitem__)
         self.index_candidates += len(macs)
-        out: List[Station] = []
+        rest: List[Station] = []
         for mac in macs:
             if mac == sender_mac:
                 continue
             st = stations[mac]
             if delivered(pos.distance_to(st.position_at(time)), reach, rng):
+                rest.append(st)
+        if not out:
+            return rest
+        if rest:
+            out.extend(rest)
+            out.sort(key=lambda st: seq[st.mac])
+        return out
+
+    def _table_recipients(
+        self, sender_mac: MacAddress, pos: Point, reach: float, time: float
+    ) -> List[Station]:
+        """Path-table stations (sender excluded) in range, in attach order.
+
+        One vector distance test over the whole table; a station within
+        :data:`HYPOT_BAND` of ``reach`` is re-checked with the scalar
+        predicate, so the verdicts equal the brute-force scan's exactly.
+        """
+        table = self._table
+        if not table:
+            return []
+        xs, ys = table.positions(time)
+        dist = np.hypot(pos.x - xs, pos.y - ys)
+        near = np.flatnonzero(dist <= reach * (1.0 + HYPOT_BAND))
+        sure = reach * (1.0 - HYPOT_BAND) if self._disc else -1.0
+        keys = table.keys
+        stations = self._stations
+        delivered = self.propagation.delivered
+        out: List[Station] = []
+        seen = 0
+        for slot, d in zip(near.tolist(), dist[near].tolist()):
+            mac = keys[slot]
+            if mac is None:
+                continue
+            seen += 1
+            if mac == sender_mac:
+                continue
+            st = stations[mac]
+            if d <= sure or delivered(
+                pos.distance_to(st.position_at(time)), reach, self._rng
+            ):
                 out.append(st)
+        self.index_candidates += seen
         return out
 
     def _recipients(self, sender: Station, frame: Frame, time: float) -> List[Station]:
@@ -457,11 +561,11 @@ class Medium:
         target: Optional[Station] = self._stations.get(first.dst)
         if target is None or not self._in_range(sender, target, now):
             return
-        if self._burst_loss is not None:
-            # One chain step per response keeps frame and burst fidelity
-            # statistically aligned under channel faults (monitors, like
-            # the uniform channel in this path, observe pre-loss).
-            responses = [r for r in responses if not self._fault_lost()]
+        if self._burst_loss is not None or self.loss_rate > 0.0:
+            # Each response crosses the channel on its own, exactly as in
+            # frame fidelity: one Gilbert–Elliott step, then one uniform
+            # draw (monitors, above, observe pre-loss).
+            responses = [r for r in responses if not self._lost()]
             if not responses:
                 return
         lineage = self._lineage

@@ -64,6 +64,13 @@ class PathMobility:
             self._max_speed = top
         return self._max_speed
 
+    def knots(self) -> Tuple[Sequence[float], Sequence[Point]]:
+        """The knot times and points, for batch evaluation.
+
+        These are the path's own sequences, not copies: read-only.
+        """
+        return self._times, self._points
+
     @property
     def t_enter(self) -> float:
         """When the person appears in the scene."""

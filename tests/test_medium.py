@@ -255,3 +255,35 @@ class TestLoss:
             medium.transmit(a, ProbeRequest(a.mac))
         sim.run(10.0)
         assert 40 < len(b.received) < 160
+
+    def _burst_pair(self, fidelity, loss_rate):
+        sim, medium = _setup(fidelity=fidelity, loss_rate=loss_rate)
+        ap = FakeStation("02:00:00:00:00:01", Point(0, 0))
+        cl = FakeStation("02:00:00:00:00:02", Point(10, 0))
+        medium.attach(ap, 50.0)
+        medium.attach(cl, 50.0)
+        return sim, medium, ap, cl
+
+    @pytest.mark.parametrize("fidelity", ["frame", "burst"])
+    def test_burst_under_total_blackout_delivers_nothing(self, fidelity):
+        """Regression: burst fidelity once applied only the fault chain,
+        so a blackout channel still delivered whole response bursts."""
+        sim, medium, ap, cl = self._burst_pair(fidelity, loss_rate=1.0)
+        medium.transmit_response_burst(
+            ap, [ProbeResponse(ap.mac, cl.mac, f"ssid-{i}") for i in range(5)]
+        )
+        sim.run(1.0)
+        assert cl.received == []
+        assert medium.frames_delivered == 0
+
+    @pytest.mark.parametrize("fidelity", ["frame", "burst"])
+    def test_lossy_burst_drops_some_responses(self, fidelity):
+        sim, medium, ap, cl = self._burst_pair(fidelity, loss_rate=0.5)
+        for b in range(40):
+            medium.transmit_response_burst(
+                ap,
+                [ProbeResponse(ap.mac, cl.mac, f"ssid-{b}-{i}") for i in range(5)],
+            )
+        sim.run(5.0)
+        assert 40 < len(cl.received) < 160
+        assert medium.frames_delivered == len(cl.received)

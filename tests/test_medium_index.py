@@ -24,6 +24,10 @@ from repro.dot11.medium import (
 from repro.dot11.propagation import LogDistanceShadowing
 from repro.faults.plan import GilbertElliottParams
 from repro.geo.point import Point
+from repro.geo.region import Rect
+from repro.mobility.corridor import corridor_walk
+from repro.mobility.static import static_dwell
+from repro.mobility.waypoints import waypoint_wander
 from repro.sim.simulation import Simulation
 
 
@@ -53,6 +57,42 @@ class UnboundedStation(MovingStation):
     def __init__(self, mac, origin, velocity=(0.0, 0.0)):
         super().__init__(mac, origin, velocity)
         self.max_speed_mps = None
+
+
+class PathStation:
+    """Phone-like double: kinematics exposed as a real ``PathMobility``."""
+
+    def __init__(self, mac, mobility):
+        self.mac = mac
+        self.mobility = mobility
+        self.log = []
+
+    def position_at(self, time):
+        return self.mobility.position_at(time)
+
+    @property
+    def max_speed_mps(self):
+        return self.mobility.max_speed()
+
+    def receive(self, frame, time):
+        self.log.append((self.mac, frame.src, time))
+
+
+class FixedStation:
+    """AP-like double: a fixed ``position`` under a zero speed bound."""
+
+    max_speed_mps = 0.0
+
+    def __init__(self, mac, position):
+        self.mac = mac
+        self.position = position
+        self.log = []
+
+    def position_at(self, time):
+        return self.position
+
+    def receive(self, frame, time):
+        self.log.append((self.mac, frame.src, time))
 
 
 def _build_world(
@@ -101,8 +141,8 @@ def _build_world(
     return sim, medium, stations
 
 
-def _run_world(index, **kwargs):
-    sim, medium, stations = _build_world(index, **kwargs)
+def _run_world(index, build=_build_world, **kwargs):
+    sim, medium, stations = build(index, **kwargs)
     sim.run(40.0)
     log = []
     for st in stations:
@@ -117,9 +157,72 @@ def _run_world(index, **kwargs):
     }
 
 
-def _assert_equivalent(kwargs):
-    fast = _run_world(True, **kwargs)
-    slow = _run_world(False, **kwargs)
+def _path_mobility(rng, area_m):
+    """One walker from a real constructor, possibly mid-visit at t=0."""
+    t_enter = float(rng.uniform(-60.0, 20.0))
+    kind = int(rng.integers(0, 3))
+    if kind == 0:
+        region = Rect(0, 0, area_m, area_m)
+        return waypoint_wander(region, t_enter, rng, pause_mean=5.0)
+    if kind == 1:
+        lateral = float(rng.uniform(0, area_m - 15))
+        corridor = Rect(0, lateral, area_m, lateral + 15)
+        return corridor_walk(corridor, t_enter, rng, speed_mean=2.0)
+    return static_dwell(Rect(0, 0, area_m, area_m), t_enter, 300.0, rng)
+
+
+def _build_mixed_world(
+    index,
+    layout_seed,
+    n_stations=48,
+    n_frames=80,
+    area_m=300.0,
+    loss_rate=0.0,
+    burst_loss=None,
+    kinds=("path", "fixed", "moving", "unbounded"),
+    churn=0,
+    sim_seed=9,
+):
+    """Like :func:`_build_world`, over a mix of station kinds.
+
+    ``churn`` stations are detached at a random time and re-attached
+    later (a re-attach is a newcomer: it joins at the back of the
+    delivery order).
+    """
+    rng = np.random.default_rng(layout_seed)
+    sim = Simulation(seed=sim_seed)
+    medium = Medium(sim, loss_rate=loss_rate, burst_loss=burst_loss, index=index)
+    stations = []
+    for i in range(n_stations):
+        mac = f"02:00:00:00:01:{i:02x}"
+        kind = kinds[int(rng.integers(0, len(kinds)))]
+        if kind == "path":
+            st = PathStation(mac, _path_mobility(rng, area_m))
+        elif kind == "fixed":
+            st = FixedStation(mac, Point(*rng.uniform(0, area_m, 2)))
+        else:
+            cls = MovingStation if kind == "moving" else UnboundedStation
+            velocity = (rng.uniform(-3, 3), rng.uniform(-3, 3))
+            st = cls(mac, Point(*rng.uniform(0, area_m, 2)), velocity)
+        stations.append(st)
+        medium.attach(st, float(rng.uniform(40, 80)))
+    for st in stations[:churn]:
+        gone = float(rng.uniform(1.0, 20.0))
+        back = gone + float(rng.uniform(0.0, 15.0))
+        tx_range = float(rng.uniform(40, 80))
+        sim.at(gone, medium.detach, st.mac)
+        sim.at(back, medium.attach, st, tx_range)
+    for _ in range(n_frames):
+        sender = stations[int(rng.integers(0, n_stations))]
+        medium.transmit(
+            sender, ProbeRequest(sender.mac), airtime=float(rng.uniform(0.01, 35))
+        )
+    return sim, medium, stations
+
+
+def _assert_equivalent(kwargs, build=_build_world):
+    fast = _run_world(True, build=build, **kwargs)
+    slow = _run_world(False, build=build, **kwargs)
     assert fast["log"] == slow["log"]
     assert fast["delivered"] == slow["delivered"]
     assert fast["fault_lost"] == slow["fault_lost"]
@@ -172,6 +275,122 @@ class TestDifferentialEquivalence:
         assert medium.index_queries > 0
         scanned = medium.index_candidates / medium.index_queries
         assert scanned < 80 * 0.5  # at least half the scan avoided
+
+
+class TestPathTableEquivalence:
+    """Stations whose kinematics are data (``PathMobility`` walkers and
+    fixed installations) are resolved through the vectorised path
+    table; every mix must still equal the brute-force scan."""
+
+    @pytest.mark.parametrize("layout_seed", [70, 71, 72, 73])
+    def test_path_and_fixed_stations(self, layout_seed):
+        fast, _ = _assert_equivalent(
+            dict(layout_seed=layout_seed, kinds=("path", "fixed")),
+            build=_build_mixed_world,
+        )
+        medium = fast["medium"]
+        assert medium.index_queries > 0
+        # No grid rows in this world: every refresh is a table pass.
+        assert medium.index_refreshes > 0
+        assert fast["delivered"] > 0
+
+    @pytest.mark.parametrize("layout_seed", [80, 81, 82, 83])
+    def test_mixed_with_grid_and_unbounded(self, layout_seed):
+        _assert_equivalent(dict(layout_seed=layout_seed), build=_build_mixed_world)
+
+    @pytest.mark.parametrize("layout_seed", [90, 91, 92])
+    def test_churn_mid_run(self, layout_seed):
+        fast, _ = _assert_equivalent(
+            dict(layout_seed=layout_seed, churn=20, loss_rate=0.2),
+            build=_build_mixed_world,
+        )
+        assert fast["delivered"] > 0
+
+    @pytest.mark.parametrize("layout_seed", [94, 95])
+    def test_with_gilbert_elliott_faults(self, layout_seed):
+        fast, _ = _assert_equivalent(
+            dict(
+                layout_seed=layout_seed,
+                loss_rate=0.1,
+                burst_loss=GilbertElliottParams(),
+                churn=8,
+            ),
+            build=_build_mixed_world,
+        )
+        assert fast["fault_lost"] > 0
+
+    def test_reattach_without_detach_keeps_order(self):
+        """A re-attached path station keeps its delivery slot, even when
+        it comes back as a different kind of station."""
+        results = []
+        for index in (True, False):
+            sim = Simulation(seed=8)
+            medium = Medium(sim, loss_rate=0.5, index=index)
+            rng = np.random.default_rng(3)
+            stations = [
+                PathStation(
+                    f"02:00:00:00:02:{i:02x}",
+                    static_dwell(Rect(0, 0, 40, 40), 0.0, 300.0, rng),
+                )
+                for i in range(10)
+            ]
+            for st in stations:
+                medium.attach(st, 100.0)
+            medium.attach(stations[3], 100.0)  # same station, same slot
+            grid_twin = MovingStation(stations[5].mac, Point(20, 20), (0.5, 0.0))
+            medium.attach(grid_twin, 100.0)  # path row -> grid, same slot
+            medium.attach(stations[5], 100.0)  # and back again
+            for st in stations[::2]:
+                medium.transmit(st, ProbeRequest(st.mac))
+            sim.run(1.0)
+            log = []
+            for st in stations:
+                log.extend(st.log)
+            results.append(sorted(log))
+        assert results[0] == results[1]
+        assert results[0]
+
+
+def _hypot_disagreement(np_larger):
+    """Sender/receiver coordinates whose ``np.hypot`` distance is one ulp
+    above (or below) ``math.hypot``'s; None if this libm never differs."""
+    rng = np.random.default_rng(2024)
+    pts = rng.uniform(0.0, 100.0, size=(200_000, 4))
+    vec = np.hypot(pts[:, 0] - pts[:, 2], pts[:, 1] - pts[:, 3])
+    for row, d in zip(pts.tolist(), vec.tolist()):
+        x0, y0, x1, y1 = row
+        exact = math.hypot(x0 - x1, y0 - y1)
+        if (d > exact) if np_larger else (d < exact):
+            return Point(x0, y0), Point(x1, y1), exact, d
+    return None
+
+
+class TestHypotBoundary:
+    """``reach`` placed exactly between the two hypot results: the
+    vector test alone would classify the receiver wrongly, so the band
+    re-check must hand the verdict to the scalar predicate."""
+
+    @pytest.mark.parametrize("np_larger", [True, False])
+    def test_vector_and_scalar_disagree_on_side(self, np_larger):
+        case = _hypot_disagreement(np_larger)
+        if case is None:
+            pytest.skip("np.hypot agrees with math.hypot on this platform")
+        a, b, exact, vector = case
+        # np larger: reach == scalar distance, in range only by scalar.
+        # np smaller: reach == vector distance, out of range by scalar.
+        reach = exact if np_larger else vector
+        heard = []
+        for index in (True, False):
+            sim = Simulation(seed=1)
+            medium = Medium(sim, index=index)
+            sender = FixedStation("02:00:00:00:03:01", a)
+            receiver = FixedStation("02:00:00:00:03:02", b)
+            medium.attach(sender, reach)
+            medium.attach(receiver, reach)
+            medium.transmit(sender, ProbeRequest(sender.mac))
+            sim.run(1.0)
+            heard.append(len(receiver.log))
+        assert heard == ([1, 1] if np_larger else [0, 0])
 
 
 class TestMidDeliveryMutation:

@@ -8,6 +8,7 @@ from repro.geo.point import Point
 from repro.geo.region import Rect
 from repro.mobility.arrivals import ArrivalProcess, HourlyRates
 from repro.mobility.base import PathMobility
+from repro.mobility.batch import PathTable
 from repro.mobility.corridor import corridor_walk
 from repro.mobility.static import static_dwell
 from repro.mobility.waypoints import waypoint_wander
@@ -52,6 +53,119 @@ class TestPathMobility:
         for q in np.linspace(times[0] - 1, times[-1] + 1, 23):
             p = path.position_at(float(q))
             assert np.isfinite(p.x) and np.isfinite(p.y)
+
+
+def _random_paths(seed, n=60):
+    """Paths from every real constructor, plus single-knot rows."""
+    rng = np.random.default_rng(seed)
+    region = Rect(0, 0, 120, 90)
+    corridor = Rect(0, 0, 200, 15)
+    paths = []
+    for i in range(n):
+        t_enter = float(rng.uniform(0, 600))
+        kind = i % 4
+        if kind == 0:
+            paths.append(waypoint_wander(region, t_enter, rng))
+        elif kind == 1:
+            paths.append(corridor_walk(corridor, t_enter, rng))
+        elif kind == 2:
+            paths.append(static_dwell(region, t_enter, 600.0, rng))
+        else:
+            paths.append(PathMobility([(t_enter, region.sample(rng))]))
+    return paths
+
+
+def _assert_table_matches(table, paths, t):
+    """Every live row equals its path's ``position_at`` bit for bit."""
+    xs, ys = table.positions(t)
+    for slot, key in enumerate(table.keys):
+        if key is None:
+            continue
+        want = paths[key].position_at(t)
+        got = (float(xs[slot]), float(ys[slot]))
+        assert (got[0].hex(), got[1].hex()) == (want.x.hex(), want.y.hex()), (
+            key,
+            t,
+        )
+
+
+class TestPathTable:
+    """The struct-of-arrays table against scalar ``position_at``."""
+
+    def _table(self, paths):
+        table = PathTable()
+        for key, path in enumerate(paths):
+            table.add(key, *path.knots(), rank=key)
+        return table
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_forward_sweep_bitwise(self, seed):
+        paths = _random_paths(seed, n=100)  # past the initial capacity
+        table = self._table(paths)
+        for t in np.linspace(-50.0, 4000.0, 301):
+            _assert_table_matches(table, paths, float(t))
+
+    @pytest.mark.parametrize("seed", [3, 4])
+    def test_knot_times_and_end_clamps(self, seed):
+        paths = _random_paths(seed)
+        table = self._table(paths)
+        times = sorted({t for p in paths for t in p.knots()[0]})
+        for t in times:  # exactly on every knot, in order
+            _assert_table_matches(table, paths, t)
+        _assert_table_matches(table, paths, times[0] - 1.0)  # before all
+        _assert_table_matches(table, paths, times[-1] + 1.0)  # after all
+
+    def test_backwards_query_reseeks(self):
+        paths = _random_paths(5)
+        table = self._table(paths)
+        rng = np.random.default_rng(5)
+        for t in rng.uniform(-20.0, 3000.0, 200):  # random, so often backwards
+            _assert_table_matches(table, paths, float(t))
+        _assert_table_matches(table, paths, 1500.0)
+        _assert_table_matches(table, paths, 10.0)
+
+    def test_row_churn_compacts_and_keeps_rank_order(self):
+        paths = _random_paths(6, n=120)
+        table = self._table(paths[:80])
+        for key in range(0, 80, 3):
+            table.discard(key)
+        for key in range(1, 80, 3):
+            table.discard(key)  # enough dead slots to force compaction
+        assert len(table.keys) < 80
+        for key in range(80, 120):
+            table.add(key, *paths[key].knots(), rank=key)
+        table.add(2, *paths[2].knots(), rank=2)  # in place (same rank)
+        table.add(1, *paths[1].knots(), rank=1)  # out-of-order insert
+        table.discard(999)  # unknown keys are ignored
+        live = [k for k in table.keys if k is not None]
+        assert live == sorted(live)
+        kept = {k for k in range(80) if k % 3 == 2}
+        assert set(live) == kept | {1} | set(range(80, 120))
+        assert len(table) == len(live)
+        for t in (0.0, 300.0, 700.0, 250.0, 2000.0):
+            _assert_table_matches(table, paths, t)
+
+    def test_positions_cached_per_time(self):
+        paths = _random_paths(7, n=8)
+        table = self._table(paths)
+        first = table.positions(100.0)
+        assert table.positions(100.0) is first
+        assert table.evaluations == 1
+        table.positions(101.0)
+        assert table.evaluations == 2
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.lists(st.floats(0.1, 100.0), min_size=1, max_size=8, unique=True),
+        st.lists(st.floats(-10.0, 110.0), min_size=1, max_size=12),
+    )
+    def test_property_any_query_order(self, times, queries):
+        times = sorted(times)
+        path = PathMobility([(t, Point(t * 1.7, 3.0 - t / 3.0)) for t in times])
+        table = PathTable()
+        table.add(0, *path.knots(), rank=0)
+        for q in queries + times:
+            _assert_table_matches(table, [path], q)
 
 
 class TestStaticDwell:
