@@ -2,19 +2,24 @@
 """Sharded-city benchmark: stations-stepped/sec vs shard count.
 
 Runs the same :class:`~repro.sim.shards.ShardScenario` at every shard
-count in the grid and measures throughput.  The win is algorithmic, not
-parallel: each shard's per-epoch adjacency refresh only considers
-sensors inside its own x-stripe (inflated by the motion-aware reach
-margin), so total work falls roughly as ``O(N * S / k)`` even on a
-single core.  Every grid point must reproduce the 1-shard digest
-bit-for-bit — the determinism contract is re-checked on every benchmark
-run, not just in the golden tests.
+count in the grid and measures throughput.  Each epoch a shard builds
+its sensor adjacency only for the walkers that scan in that epoch, so
+the single-shard run is already cheap and extra shards on one core buy
+nothing: the shard count is an execution parameter, not an index.
+Every grid point must reproduce the 1-shard digest bit-for-bit — the
+determinism contract is re-checked on every benchmark run, not just in
+the golden tests.
 
 Writes ``BENCH_shards.json`` to the artefact directory
 (``REPRO_ARTIFACT_DIR``, default ``benchmarks/out``) and prints the
-table.  ``--assert-speedup X`` exits non-zero unless the 4-shard point
-at ``--assert-at`` stations reaches an ``X``-fold speedup over 1 shard
-— the contract CI's shard-smoke job enforces (2x at 2000 stations).
+table.  ``--assert-floor ST_PER_S`` exits non-zero unless the 1-shard
+point at ``--assert-at`` stations steps at least ``ST_PER_S``
+stations per second — the contract CI's shard-smoke job enforces
+(400000 at 2000 stations).
+
+The ``process`` section is informational: the largest grid point
+re-run in process mode at 2 and 4 shards, wall time next to the inline
+1-shard run.  Each process digest must equal the inline one.
 
 ``--chaos`` appends a fault-tolerance section: the 2000-station point
 re-run in process mode three ways (clean, with epoch-barrier
@@ -25,7 +30,7 @@ hard determinism check.
 
 Usage::
 
-    PYTHONPATH=src python benchmarks/bench_shards.py [--assert-speedup 2.0]
+    PYTHONPATH=src python benchmarks/bench_shards.py [--assert-floor 400000]
 """
 
 from __future__ import annotations
@@ -53,6 +58,10 @@ EPOCH_S = 2.0
 DURATION_S = 240.0
 SEED = 11
 
+# Process-mode section: the largest grid point, split across processes.
+PROCESS_STATIONS = max(STATION_GRID)
+PROCESS_SHARDS = (2, 4)
+
 # --chaos variants: checkpoint cadence and the epoch the injected crash
 # fires at.  The crash epoch sits past several barriers so recovery
 # replays real workload (120 epochs total at 2 s each).
@@ -73,17 +82,20 @@ def _scenario(stations):
     )
 
 
-def _run_point(stations, shards, epoch_trace=False):
-    scenario = _scenario(stations)
+def _timed_run(stations, shards, mode="inline", **kwargs):
     start = time.perf_counter()
     result = run_sharded(
-        scenario,
+        _scenario(stations),
         shards=shards,
-        mode="inline",
+        mode=mode,
         collect_states=False,
-        epoch_trace=epoch_trace,
+        **kwargs,
     )
-    wall = time.perf_counter() - start
+    return result, time.perf_counter() - start
+
+
+def _run_point(stations, shards, epoch_trace=False):
+    result, wall = _timed_run(stations, shards, epoch_trace=epoch_trace)
     # stations * epochs = station-steps performed, a size-invariant rate
     return {
         "stations": stations,
@@ -98,18 +110,34 @@ def _run_point(stations, shards, epoch_trace=False):
     }
 
 
+def run_process(grid):
+    """Process mode at 2 and 4 shards against the inline 1-shard point
+    of the same size; digests must match."""
+    inline = next(
+        p for p in grid if p["stations"] == PROCESS_STATIONS and p["shards"] == 1
+    )
+    rows = [{"mode": "inline", "shards": 1, "wall_s": inline["wall_s"]}]
+    for shards in PROCESS_SHARDS:
+        result, wall = _timed_run(PROCESS_STATIONS, shards, mode="process")
+        if result.digest() != inline["digest"]:
+            raise AssertionError(
+                "process mode at %d shards drifted from the inline digest"
+                % shards
+            )
+        rows.append({"mode": "process", "shards": shards, "wall_s": round(wall, 4)})
+    for row in rows:
+        row["vs_inline"] = round(inline["wall_s"] / row["wall_s"], 2)
+    return {"stations": PROCESS_STATIONS, "runs": rows}
+
+
 def _chaos_variant(name, baseline_digest, faults=None, ckpt_every=0):
-    scenario = _scenario(CHAOS_STATIONS)
-    start = time.perf_counter()
-    result = run_sharded(
-        scenario,
-        shards=CHAOS_SHARDS,
+    result, wall = _timed_run(
+        CHAOS_STATIONS,
+        CHAOS_SHARDS,
         mode="process",
-        collect_states=False,
         faults=faults,
         ckpt_every=ckpt_every,
     )
-    wall = time.perf_counter() - start
     counters = result.metrics.get("counters", {})
     return {
         "variant": name,
@@ -209,6 +237,22 @@ def render(grid):
     return "\n".join(lines)
 
 
+def render_process(process):
+    lines = [
+        "",
+        f"Process mode: {process['stations']} stations, wall vs inline 1 shard "
+        "(informational; digests equal)",
+        "",
+        f"{'mode':>8} {'shards':>6} {'wall s':>8} {'vs inline':>10}",
+    ]
+    for r in process["runs"]:
+        lines.append(
+            f"{r['mode']:>8} {r['shards']:>6} {r['wall_s']:>8.3f} "
+            f"{r['vs_inline']:>9.2f}x"
+        )
+    return "\n".join(lines)
+
+
 def render_chaos(chaos):
     lines = [
         "",
@@ -232,18 +276,19 @@ def render_chaos(chaos):
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
-        "--assert-speedup",
+        "--assert-floor",
         type=float,
         default=None,
-        metavar="X",
-        help="fail unless max shards at --assert-at stations speeds up X-fold",
+        metavar="ST_PER_S",
+        help="fail unless 1 shard at --assert-at stations steps at least "
+        "ST_PER_S stations per second",
     )
     parser.add_argument(
         "--assert-at",
         type=int,
         default=2000,
         metavar="N",
-        help="station count the --assert-speedup contract applies at "
+        help="station count the --assert-floor contract applies at "
         "(default 2000)",
     )
     parser.add_argument(
@@ -272,8 +317,9 @@ def main(argv=None):
         "seed": SEED,
         "grid": grid,
         "max_speedup": max(p["speedup"] for p in grid),
+        "process": run_process(grid),
     }
-    table = render(grid)
+    table = render(grid) + "\n" + render_process(doc["process"])
     if args.chaos:
         baseline = next(
             p["digest"] for p in grid if p["stations"] == CHAOS_STATIONS
@@ -295,31 +341,23 @@ def main(argv=None):
         else:
             print("no epoch spans recorded (all traced points single-shard?)")
 
-    if args.assert_speedup is not None:
+    if args.assert_floor is not None:
         gated = [
-            p
-            for p in grid
-            if p["stations"] == args.assert_at and p["shards"] == max(SHARD_GRID)
+            p for p in grid if p["stations"] == args.assert_at and p["shards"] == 1
         ]
-        slow = [p for p in gated if p["speedup"] < args.assert_speedup]
         if not gated:
             print("FAIL: no %d-station grid point to assert on" % args.assert_at)
             return 1
-        if slow:
-            for p in slow:
-                print(
-                    "FAIL: %d stations / %d shards reached only %.2fx (< %.1fx)"
-                    % (
-                        p["stations"],
-                        p["shards"],
-                        p["speedup"],
-                        args.assert_speedup,
-                    )
-                )
+        rate = gated[0]["stations_per_s"]
+        if rate < args.assert_floor:
+            print(
+                "FAIL: %d stations / 1 shard stepped %.0f stations/s (< %.0f)"
+                % (args.assert_at, rate, args.assert_floor)
+            )
             return 1
         print(
-            "speedup contract OK: >= %.1fx at %d stations / %d shards"
-            % (args.assert_speedup, args.assert_at, max(SHARD_GRID))
+            "throughput floor OK: %.0f >= %.0f stations/s at %d stations / 1 shard"
+            % (rate, args.assert_floor, args.assert_at)
         )
     return 0
 

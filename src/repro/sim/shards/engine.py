@@ -16,9 +16,9 @@ result — metrics, walker rows, hunter states, and therefore
 :meth:`ShardRunResult.digest` — is bit-identical at any shard count, in
 either execution mode:
 
-* ``inline`` — all shards stepped in this process (the default; on a
-  single-core box this is also the fast path, because the win is
-  per-shard candidate locality, not parallel scheduling).
+* ``inline`` — all shards stepped in this process (the default, and
+  the fast path: per-epoch work is already proportional to the walkers
+  that scan, so extra shards add handoff cost and no locality).
 * ``process`` — one OS process per shard, exchanged over pipes.
 
 **Fault tolerance** (PR 8, process mode): with

@@ -114,6 +114,8 @@ def derive_walkers(scenario: ShardScenario, backend: str) -> WalkerBatch:
     size = scenario.size_m
     speed_span = scenario.speed_max_mps - scenario.speed_min_mps
     period_span = scenario.scan_period_max_s - scenario.scan_period_min_s
+    universe = scenario.ssid_universe
+    open_share = scenario.open_share
     if backend == "numpy":
         import numpy as np
 
@@ -134,11 +136,21 @@ def derive_walkers(scenario: ShardScenario, backend: str) -> WalkerBatch:
         pnl_n = (2.0 + np.floor(draw[_C_PNL_N] * (scenario.pnl_max - 1))).astype(
             np.int64
         )
+        # One draw pair per PNL slot j < pnl_max, masked to j < pnl_n
+        # (-1 marks a closed or absent entry): the scalar loop's
+        # expressions, so both backends build identical sets.
+        slots = np.full((n, scenario.pnl_max), -1, dtype=np.int64)
+        for j in range(scenario.pnl_max):
+            pick = u01_vec(base, ids, _C_PNL_BASE + 2 * j)
+            is_open = u01_vec(base, ids, _C_PNL_BASE + 1 + 2 * j) < open_share
+            keep = is_open & (j < pnl_n)
+            slots[keep, j] = (pick[keep] * pick[keep] * universe).astype(np.int64)
+        pnl_open = [frozenset(e for e in row if e >= 0) for row in slots.tolist()]
     else:
         import math
 
         t0l, t_exitl, x0l, y0l, vxl, vyl = [], [], [], [], [], []
-        periodl, phasel, pnl_nl = [], [], []
+        periodl, phasel, pnl_open = [], [], []
         for i in range(n):
             t_enter = u01(base, i, _C_SPAWN) * scenario.spawn_fraction
             t_enter = t_enter * scenario.duration
@@ -158,24 +170,18 @@ def derive_walkers(scenario: ShardScenario, backend: str) -> WalkerBatch:
             vyl.append(uy * speed_i)
             periodl.append(period_i)
             phasel.append(u01(base, i, _C_PHASE) * period_i)
-            pnl_nl.append(
-                2 + math.floor(u01(base, i, _C_PNL_N) * (scenario.pnl_max - 1))
-            )
+            pnl_n_i = 2 + math.floor(u01(base, i, _C_PNL_N) * (scenario.pnl_max - 1))
+            entries = set()
+            for j in range(pnl_n_i):
+                pick = u01(base, i, _C_PNL_BASE + 2 * j)
+                if u01(base, i, _C_PNL_BASE + 1 + 2 * j) < open_share:
+                    # Quadratic skew towards low SSIDs, mirroring the
+                    # popularity ranking the sensors seed their PB with.
+                    entries.add(int(pick * pick * universe))
+            pnl_open.append(frozenset(entries))
         t0, t_exit, x0, y0 = t0l, t_exitl, x0l, y0l
-        vx, vy, period, phase, pnl_n = vxl, vyl, periodl, phasel, pnl_nl
+        vx, vy, period, phase = vxl, vyl, periodl, phasel
 
-    pnl_open: List[frozenset] = []
-    universe = scenario.ssid_universe
-    for i in range(n):
-        entries = set()
-        for j in range(int(pnl_n[i])):
-            pick = u01(base, i, _C_PNL_BASE + 2 * j)
-            is_open = u01(base, i, _C_PNL_BASE + 1 + 2 * j) < scenario.open_share
-            if is_open:
-                # Quadratic skew towards low SSIDs, mirroring the
-                # popularity ranking the sensors seed their PB with.
-                entries.add(int(pick * pick * universe))
-        pnl_open.append(frozenset(entries))
     return WalkerBatch(
         backend, t0, t_exit, x0, y0, vx, vy, period, phase, tuple(pnl_open)
     )

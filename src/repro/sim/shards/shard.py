@@ -10,7 +10,12 @@ batch, which is what makes a shard cheap:
 * **Phase A** (walker side, at ``t_e``): apply handed-in migrations,
   then handed-in offer records, both in canonical
   :func:`~repro.sim.shards.handoff.sort_key` order; emit this epoch's
-  scans as probe records; compute end-of-epoch migrations.
+  scans as probe records; compute end-of-epoch migrations.  Scans are
+  scan-first: the numpy backend computes every owned walker's scan
+  window (vector arithmetic), keeps the unconnected walkers with a
+  scan instant this epoch — a few percent of the rows, since phones
+  probe in sparse bursts — and builds the sensor adjacency for those
+  rows alone.
 * **Phase B** (sensor side, at ``t_{e+1}``): feed sorted feedback
   records to the owned :class:`~repro.sim.shards.attacker.LiteHunter`
   cores, then answer sorted probe records with offer records addressed
@@ -20,9 +25,10 @@ Determinism: all record processing is sorted by shard-count-invariant
 keys; all arithmetic is elementwise over values derived from the
 stateless RNG; candidate-sensor pruning (the stripe inflated by
 :func:`~repro.dot11.medium.reach_with_motion`, plus a per-epoch
-adjacency refresh at the same inflated radius) is a strict superset of
-every sensor a walker can reach this epoch, followed by exact distance
-checks — so pruning changes work, never results.
+adjacency refresh for this epoch's scanners at the same inflated
+radius) is a strict superset of every sensor a walker can reach this
+epoch, followed by exact distance checks — so pruning changes work,
+never results.
 
 Workload metrics live under ``shardsim.*`` and are **integer-valued
 only** (float sums across different shard partitions are not
@@ -146,7 +152,6 @@ class ShardRuntime:
             if x_lo - margin <= x <= x_hi + margin
         ]
         if self.backend == "numpy":
-            self._cand_ids = np.array([c[0] for c in self.cand], dtype=np.int64)
             self._cand_x = np.array([c[1] for c in self.cand], dtype=np.float64)
             self._cand_y = np.array([c[2] for c in self.cand], dtype=np.float64)
         self._reach2 = scenario.reach_m * scenario.reach_m
@@ -295,45 +300,46 @@ class ShardRuntime:
         batch = self.walkers
         hi_cap = min(t_next, self.scenario.duration)
         if self.backend == "numpy":
+            # Scan window first: only unconnected walkers with a scan
+            # instant inside [t_e, hi) do any work this epoch.
             own_arr = np.asarray(own, dtype=np.int64)
-            wx, wy = batch.positions_at(t_e, own_arr)
-            if len(self.cand):
-                # The per-epoch adjacency refresh: one dense in-range
-                # matrix against this stripe's candidate sensors — the
-                # O(owned x candidates) term that shrinks with shard
-                # count and pays for the whole handoff protocol.
-                dx = wx[:, None] - self._cand_x[None, :]
-                dy = wy[:, None] - self._cand_y[None, :]
-                adj = (dx * dx + dy * dy) <= self._adj_r2
-                indptr = np.concatenate(
-                    ([0], np.cumsum(adj.sum(axis=1, dtype=np.int64)))
-                )
-                cols = np.nonzero(adj)[1]
-            else:
-                indptr = np.zeros(len(own) + 1, dtype=np.int64)
-                cols = np.zeros(0, dtype=np.int64)
             start = batch.t0[own_arr] + batch.phase[own_arr]
             pero = batch.period[own_arr]
             hi = np.minimum(hi_cap, batch.t_exit[own_arr])
             k_lo = np.maximum(0.0, np.ceil((t_e - start) / pero))
             k_hi = np.maximum(k_lo, np.ceil((hi - start) / pero))
-            eligible = ~batch.connected[own_arr] & (k_hi > k_lo)
-            for r in np.nonzero(eligible)[0]:
-                cand = [
-                    (
-                        int(self._cand_ids[c]),
-                        float(self._cand_x[c]),
-                        float(self._cand_y[c]),
-                    )
-                    for c in cols[indptr[r] : indptr[r + 1]]
-                ]
+            rows = np.nonzero(~batch.connected[own_arr] & (k_hi > k_lo))[0]
+            if not len(rows):
+                return
+            scanners = own_arr[rows]
+            # The per-epoch adjacency refresh, for the scanners alone:
+            # one in-range matrix against this stripe's candidate
+            # sensors.  Row-major nonzero keeps each row's candidates
+            # in ascending stripe order.
+            wx, wy = batch.positions_at(t_e, scanners)
+            dx = wx[:, None] - self._cand_x[None, :]
+            dy = wy[:, None] - self._cand_y[None, :]
+            adj = (dx * dx + dy * dy) <= self._adj_r2
+            indptr = np.concatenate(
+                ([0], np.cumsum(adj.sum(axis=1, dtype=np.int64)))
+            ).tolist()
+            cols = np.nonzero(adj)[1].tolist()
+            cand = self.cand
+            windows = zip(
+                scanners.tolist(),
+                start[rows].tolist(),
+                pero[rows].tolist(),
+                k_lo[rows].tolist(),
+                k_hi[rows].tolist(),
+            )
+            for r, (i, start_i, period_i, lo, hi_k) in enumerate(windows):
                 self._scan_walker(
-                    int(own_arr[r]),
-                    float(start[r]),
-                    float(pero[r]),
-                    int(k_lo[r]),
-                    int(k_hi[r]),
-                    cand,
+                    i,
+                    start_i,
+                    period_i,
+                    int(lo),
+                    int(hi_k),
+                    [cand[c] for c in cols[indptr[r] : indptr[r + 1]]],
                     out,
                 )
         else:
