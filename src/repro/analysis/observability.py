@@ -272,7 +272,7 @@ def serve_breakdown(snapshot: dict) -> Optional[dict]:
         ),
         "shed": int(shed),
         "shed_fraction": round(shed / events, 6) if events else 0.0,
-        "worker_restarts": int(counters.get("serve.worker_restarts", 0)),
+        "consumer_faults": int(counters.get("serve.consumer_faults", 0)),
         "events_failed": int(counters.get("serve.events_failed", 0)),
         "queue_depth_peak": int(gauges.get("serve.queue_depth_peak", 0)),
         "stages": stages,

@@ -8,14 +8,14 @@ pipeline stage for every accepted event:
 
 * ``enqueue``     — ingress: the ``submit`` call offering the event to
   the bounded queue (includes any backpressure wait for queue space);
-* ``queue_wait``  — from the ingress offer to a worker picking the
-  event off the queue;
-* ``commit_wait`` — the worker parked at the sequencer gate waiting for
-  its turn in ingress order;
+* ``queue_wait``  — from the ingress offer to the consumer picking the
+  event off the queue in a drained batch;
+* ``commit_wait`` — from that batch pickup to the event's own commit:
+  the head-of-line wait behind earlier events of the same batch;
 * ``rank``        — the ranking walk (``core.handle``), the paper's hot
   path;
 * ``apply``       — decision emission: appending the burst decision and
-  running the decision callback.
+  its counters.
 
 **Observe-only, bounded.**  Spans land in an in-memory ring
 (:class:`RequestTrace`, capacity ``REPRO_REQ_TRACE_MAX``, default
@@ -30,9 +30,9 @@ window, which is the one you are debugging.
 **Files and export.**  ``RankingService.finish`` flushes the ring to
 ``<artifact_dir>/telemetry/reqtrace-<pid>.jsonl`` (previous file
 rotated to ``.old``, like heartbeats).  :func:`req_trace_doc` folds one
-or more such files into Chrome trace-event JSON — one track per worker
-plus an ingress track, with flow arrows following each sequence number
-from its ingress enqueue to its sequenced commit — satisfying the same
+or more such files into Chrome trace-event JSON — an ingress track
+plus one consumer track, with flow arrows following each sequence
+number from its ingress enqueue to its commit — satisfying the same
 :func:`~repro.obs.lineage.validate_chrome_trace` contract as the
 lineage and epoch exporters.  ``repro obs serve-trace`` and ``repro
 serve bench --req-trace`` drive the export.
@@ -58,7 +58,7 @@ DEFAULT_MAX_RECORDS = 200_000
 REQTRACE_FILE_PREFIX = "reqtrace-"
 TELEMETRY_SUBDIR = "telemetry"
 
-#: Stage names in pipeline order (`worker` is None only for ``enqueue``).
+#: Stage names in pipeline order; only ``enqueue`` runs on ingress.
 STAGES = ("enqueue", "queue_wait", "commit_wait", "rank", "apply")
 
 
@@ -112,7 +112,6 @@ class RequestTrace:
         self,
         stage: str,
         seq: int,
-        worker: Optional[int],
         start: float,
         dur: float,
         **attrs: object,
@@ -123,7 +122,6 @@ class RequestTrace:
         rec: Dict[str, object] = {
             "stage": stage,
             "seq": int(seq),
-            "worker": worker if worker is None else int(worker),
             "start": float(start),
             "dur": float(dur),
         }
@@ -214,21 +212,22 @@ def load_reqtrace_dir(
 
 
 INGRESS_TID = 0
-"""Ingress spans render on their own track above the worker tracks."""
+CONSUMER_TID = 1
+"""``enqueue`` spans render on the ingress track, every other stage on
+the consumer track below it."""
 
 
 def _span_tid(rec: dict) -> int:
-    worker = rec.get("worker")
-    return INGRESS_TID if worker is None else int(worker) + 1
+    return INGRESS_TID if rec["stage"] == "enqueue" else CONSUMER_TID
 
 
 def req_trace_doc(records: List[dict]) -> dict:
     """Chrome trace-event JSON for a list of request spans.
 
     One ``X`` (complete) event per span on the ingress track (tid 0) or
-    its worker's track (tid = worker + 1); an ``s``/``f`` flow-arrow
-    pair per sequence number connecting the ingress ``enqueue`` span to
-    the sequenced ``rank`` commit span.  Passes
+    the consumer track (tid 1); an ``s``/``f`` flow-arrow pair per
+    sequence number connecting the ingress ``enqueue`` span to its
+    ``rank`` commit span.  Passes
     :func:`~repro.obs.lineage.validate_chrome_trace`; open in Perfetto /
     ``chrome://tracing``.
     """
@@ -251,21 +250,15 @@ def req_trace_doc(records: List[dict]) -> dict:
             "name": "thread_name",
             "args": {"name": "ingress"},
         },
+        {
+            "ph": "M",
+            "ts": 0,
+            "pid": 0,
+            "tid": CONSUMER_TID,
+            "name": "thread_name",
+            "args": {"name": "consumer"},
+        },
     ]
-    workers = sorted(
-        {int(r["worker"]) for r in records if r.get("worker") is not None}
-    )
-    for wid in workers:
-        events.append(
-            {
-                "ph": "M",
-                "ts": 0,
-                "pid": 0,
-                "tid": wid + 1,
-                "name": "thread_name",
-                "args": {"name": "worker %d" % wid},
-            }
-        )
     t0 = min(float(r["start"]) for r in records)
 
     def ts(start: float) -> float:
@@ -296,8 +289,7 @@ def req_trace_doc(records: List[dict]) -> dict:
                 "args": args,
             }
         )
-    # Flow arrows: ingress enqueue -> that sequence's commit on whichever
-    # worker track it landed on.
+    # Flow arrows: ingress enqueue -> that sequence's commit.
     flow_id = 0
     for seq in sorted(set(enqueue_by_seq) & set(commit_by_seq)):
         enq, commit = enqueue_by_seq[seq], commit_by_seq[seq]

@@ -23,7 +23,7 @@ accepts either artefact the toolchain produces:
 The default budgets are deliberately generous (50 ms select/apply p99,
 5 s queue/commit wait, 5 % shed) — loose enough that the committed
 ``BENCH_serve`` baseline and an unloaded CI runner pass, tight enough
-to catch a wedged sequencer or a pathological ranking walk.  ``repro
+to catch a wedged consumer or a pathological ranking walk.  ``repro
 obs slo --once`` exits non-zero on breach, and the ``repro obs bench``
 gate evaluates the default SLO on every ``repro.bench_serve/v1``
 candidate it compares.
@@ -144,7 +144,7 @@ def _checks_from_bench(slo: ServeSlo, doc: dict) -> List[dict]:
     )
     checks: List[dict] = []
     for point in grid:
-        label = "%scl/%swk" % (point.get("clients"), point.get("workers"))
+        label = "%scl" % point.get("clients")
         p99 = point.get("p99_us")
         if p99 is not None:
             checks.append(

@@ -368,7 +368,7 @@ def watch_snapshot(
                 shed_fraction > DEFAULT_SHED_THRESHOLD
                 or (depth is not None and cap and int(depth) >= int(cap))
             )
-            # A service can heartbeat forever while its sequencer is
+            # A service can heartbeat forever while its consumer is
             # wedged: commits frozen with a backlog behind them is a
             # stall even when the file keeps growing.
             committed = last.get("committed")
@@ -393,7 +393,6 @@ def watch_snapshot(
 
 #: Fields a serve heartbeat carries beyond the base record shape.
 SERVE_EXTRA_KEYS = (
-    "workers",
     "events",
     "committed",
     "probes_per_s",
@@ -403,7 +402,7 @@ SERVE_EXTRA_KEYS = (
     "shed_fraction",
     "p50_us",
     "p99_us",
-    "worker_restarts",
+    "consumer_faults",
 )
 
 
@@ -722,7 +721,7 @@ def render_top(doc: dict) -> str:
         lines.append("")
         lines.append(
             f"{'service':<22} {'probes/s':>9} {'queue':>11} {'shed %':>7} "
-            f"{'p50 us':>8} {'p99 us':>8} {'restarts':>9}  verdict"
+            f"{'p50 us':>8} {'p99 us':>8} {'faults':>9}  verdict"
         )
         for row in services:
             rate = row.get("probes_per_s")
@@ -747,7 +746,7 @@ def render_top(doc: dict) -> str:
                 f"{row['file']:<22} {rate_cell:>9} {queue_cell:>11} "
                 f"{shed_cell:>7} "
                 f"{p50:>8} {p99:>8} "
-                f"{row.get('worker_restarts') or 0:>9}  {verdict}"
+                f"{row.get('consumer_faults') or 0:>9}  {verdict}"
             )
     if doc["epochs"]:
         crashes_by_shard = recovery.get("crashes_by_shard", {})

@@ -2,22 +2,24 @@
 
 :class:`RankingService` turns the synchronous
 :class:`~repro.serve.core.RankingCore` into a traffic-serving system:
-probe-request events flow in through a bounded ingress queue, ``N``
-concurrent attacker-node workers pull them off, and burst decisions
-flow out — with explicit backpressure, load-shed accounting, worker
-supervision and ``serve.*`` metrics through the standard
+probe-request events flow in through a bounded ingress queue, one
+consumer task drains them in batches, and burst decisions flow out —
+with explicit backpressure, load-shed accounting and ``serve.*``
+metrics through the standard
 :class:`~repro.obs.registry.MetricsRegistry`.
 
-**Determinism under concurrency.**  The ranking state (SSID store,
-PB/FB split, ghost-pick RNG) is shared across every client, so the
-*apply order* of events decides every downstream burst.  Each accepted
-event is stamped with an ingress sequence number and workers commit
-through a sequencer that admits exactly one event at a time, in stamp
-order — transport concurrency (queueing, parsing, shedding, emission)
-is real, state mutation is serialised.  Decisions therefore come out in
-ingress order at *any* worker count, which is what lets the replay
-tests pin one digest across ``REPRO_WORKERS`` settings and what makes
-the differential harness meaningful.
+**One consumer, batched drain.**  The ranking state (SSID store, PB/FB
+split, ghost-pick RNG) is shared across every client, so the *apply
+order* of events decides every downstream burst.  Each accepted event
+is stamped with its ingress sequence number — its position in the FIFO
+queue, so concurrent producers parked on a full queue cannot commit out
+of stamp order.  The consumer awaits one item, takes whatever else is
+already queued with ``get_nowait()``, and commits that batch in stamp
+order by calling ``core.handle`` directly.  Decisions therefore come
+out in ingress order at any queue bound, which is what makes the
+differential harness meaningful.  More consumer tasks
+would not add throughput: they share one thread and would have to be
+serialised again before touching the core.
 
 **Backpressure vs shedding.**  The default policy is backpressure:
 ``submit`` awaits queue space, pushing the wait onto the producer (a
@@ -27,14 +29,13 @@ in ``serve.shed_total`` — but feedback events always take the
 backpressure path: losing a probe costs one response opportunity,
 losing feedback forks the ranking state from reality.
 
-**Worker faults.**  Worker tasks run under a supervisor loop: an
-exception restarts the worker (counted in ``serve.worker_restarts``)
-with all session state intact, because state lives in the core, not the
-worker.  An event in flight at crash time is salvaged: if it had not
-reached the core it is re-applied by the supervisor (in-flight feedback
-is never dropped); if the core raised mid-apply the event is counted in
-``serve.events_failed`` and its sequence slot released so the stream
-never deadlocks.
+**Faults.**  Every fault is caught in the consumer loop and counted in
+``serve.consumer_faults``; the consumer keeps running with all session
+state intact, because state lives in the core.  A fault in the
+transport stage (``fault_hook``, a parse/validate stand-in) happens
+before the core sees the event, so the event is still applied and no
+feedback is lost.  A fault raised inside ``core.handle`` loses that one
+event, counted in ``serve.events_failed``, and the stream continues.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ from __future__ import annotations
 import asyncio
 import os
 import time as _time
-from typing import Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Callable, Iterable, List, Optional, Tuple
 
 from repro.obs.registry import (
     METRICS_SCHEMA,
@@ -57,10 +58,6 @@ from repro.obs.telemetry import (
 from repro.serve.core import RankingCore
 from repro.serve.events import BurstDecision, Event, FeedbackEvent, ProbeEvent
 
-WORKERS_ENV = "REPRO_WORKERS"
-QUEUE_MAX_ENV = "REPRO_SERVE_QUEUE_MAX"
-
-DEFAULT_WORKERS = 4
 DEFAULT_QUEUE_MAX = 1024
 
 LATENCY_BUCKETS_US: Tuple[float, ...] = (
@@ -79,96 +76,34 @@ are dominated by backlog, not compute, so the range extends to ~6.5 s
 before the overflow bucket.  Wall-clock, like the select histogram."""
 
 
-def resolve_serve_workers(workers: Optional[int] = None) -> int:
-    """Worker count: explicit arg, else ``REPRO_WORKERS``, else 4."""
-    if workers is not None:
-        return max(1, int(workers))
-    value = os.environ.get(WORKERS_ENV, "").strip()
-    if value:
-        try:
-            return max(1, int(value))
-        except ValueError:
-            pass
-    return DEFAULT_WORKERS
-
-
-def resolve_queue_max(queue_max: Optional[int] = None) -> int:
-    """Ingress bound: explicit arg, else ``REPRO_SERVE_QUEUE_MAX``."""
-    if queue_max is not None:
-        return max(1, int(queue_max))
-    value = os.environ.get(QUEUE_MAX_ENV, "").strip()
-    if value:
-        try:
-            return max(1, int(value))
-        except ValueError:
-            pass
-    return DEFAULT_QUEUE_MAX
-
-
-class _Sequencer:
-    """Admit commits strictly in sequence-number order."""
-
-    def __init__(self) -> None:
-        self._next = 0
-        self._waiters: Dict[int, asyncio.Event] = {}
-
-    async def wait(self, seq: int) -> None:
-        if seq == self._next:
-            return
-        event = self._waiters.setdefault(seq, asyncio.Event())
-        await event.wait()
-
-    def done(self, seq: int) -> None:
-        """Release ``seq``'s slot and wake the next committer."""
-        self._next = seq + 1
-        waiter = self._waiters.pop(self._next, None)
-        if waiter is not None:
-            waiter.set()
-
-
-class _Inflight:
-    """One worker's event-in-flight slot (crash-salvage bookkeeping)."""
-
-    __slots__ = ("seq", "event", "applying")
-
-    def __init__(self, seq: int, event: Event):
-        self.seq = seq
-        self.event = event
-        self.applying = False
-
-
 class RankingService:
     """Async probe-stream server over one shared :class:`RankingCore`."""
 
     def __init__(
         self,
         core: RankingCore,
-        workers: Optional[int] = None,
         queue_max: Optional[int] = None,
         shed: bool = False,
         metrics: Optional[MetricsRegistry] = None,
-        fault_hook: Optional[Callable[[int, Event], None]] = None,
-        on_decision: Optional[Callable[[BurstDecision], None]] = None,
+        fault_hook: Optional[Callable[[Event], None]] = None,
         sample_latencies: bool = False,
         req_trace: Optional[bool] = None,
     ):
         self.core = core
-        self.workers = resolve_serve_workers(workers)
-        self.queue_max = resolve_queue_max(queue_max)
+        self.queue_max = (
+            DEFAULT_QUEUE_MAX if queue_max is None else max(1, int(queue_max))
+        )
         self.shed = shed
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.decisions: List[BurstDecision] = []
         self.events_log: List[dict] = []
         self._fault_hook = fault_hook
-        self._on_decision = on_decision
         self._sample_latencies = sample_latencies
         self.latencies_us: List[float] = []
         self._queue: Optional[asyncio.Queue] = None
-        self._gate = _Sequencer()
-        self._next_seq = 0
-        self._tasks: List[asyncio.Task] = []
-        self._inflight: Dict[int, Optional[_Inflight]] = {}
-        self._started = False
+        self._next_seq = 0  # stamped on enqueue
+        self._next_pick = 0  # the consumer's matching FIFO count
+        self._consumer: Optional[asyncio.Task] = None
         # Observe-only instrumentation: the span ring never touches an
         # RNG stream and the heartbeat thread never mutates core state,
         # so digests are identical with both on or off.
@@ -185,15 +120,13 @@ class RankingService:
         return self._queue
 
     async def start(self) -> None:
-        """Spawn the supervised worker pool."""
-        if self._started:
+        """Spawn the consumer task."""
+        if self._consumer is not None:
             return
-        self._ensure_queue()
-        loop = asyncio.get_running_loop()
-        for wid in range(self.workers):
-            self._inflight[wid] = None
-            self._tasks.append(loop.create_task(self._supervise(wid)))
-        self._started = True
+        queue = self._ensure_queue()
+        self._consumer = asyncio.get_running_loop().create_task(
+            self._consume(queue)
+        )
         interval = resolve_serve_heartbeat_interval()
         if interval is not None and self._heartbeat is None:
             self._heartbeat = HeartbeatWriter(
@@ -211,16 +144,14 @@ class RankingService:
             await self._queue.join()
 
     async def stop(self) -> None:
-        """Cancel the worker pool (drain first for a clean shutdown)."""
-        for task in self._tasks:
-            task.cancel()
-        for task in self._tasks:
+        """Cancel the consumer (drain first for a clean shutdown)."""
+        if self._consumer is not None:
+            consumer, self._consumer = self._consumer, None
+            consumer.cancel()
             try:
-                await task
+                await consumer
             except asyncio.CancelledError:
                 pass
-        self._tasks = []
-        self._started = False
         if self._heartbeat is not None:
             heartbeat, self._heartbeat = self._heartbeat, None
             heartbeat.__exit__(None, None, None)
@@ -241,10 +172,12 @@ class RankingService:
         ):
             self.metrics.inc("serve.shed_total", type=etype)
             return False
+        t_offer = _time.perf_counter()
+        await queue.put((event, t_offer))
+        # No await between the put and here, so this is the event's
+        # queue position — the seq the consumer will count it at.
         seq = self._next_seq
         self._next_seq += 1
-        t_offer = _time.perf_counter()
-        await queue.put((seq, event, t_offer))
         self.metrics.gauge_max("serve.queue_depth_peak", queue.qsize())
         if self.reqtrace is not None:
             # The enqueue span covers any backpressure wait for queue
@@ -252,7 +185,6 @@ class RankingService:
             self.reqtrace.record(
                 "enqueue",
                 seq,
-                None,
                 t_offer,
                 _time.perf_counter() - t_offer,
                 mac=event.mac,
@@ -260,80 +192,58 @@ class RankingService:
             )
         return True
 
-    # -- workers ---------------------------------------------------------------
+    # -- consumer --------------------------------------------------------------
 
-    async def _supervise(self, wid: int) -> None:
+    async def _consume(self, queue: asyncio.Queue) -> None:
+        """Await one item, drain the rest of the backlog, commit in order."""
         while True:
-            try:
-                await self._worker_loop(wid)
-            except asyncio.CancelledError:
-                raise
-            except Exception:
-                self.metrics.inc("serve.worker_restarts")
-                self.events_log.append(
-                    {"kind": "serve.worker_restart", "worker": wid}
-                )
-                item = self._inflight.get(wid)
-                self._inflight[wid] = None
-                if item is None:
-                    continue
-                if item.applying:
-                    # The core raised mid-apply: the commit's finally
-                    # clause already released the sequence slot, so just
-                    # count the casualty and move on.
-                    self.metrics.inc("serve.events_failed")
-                    self._queue.task_done()
-                    continue
-                # Transport-stage crash: the core never saw the event —
-                # apply it now so nothing (feedback especially) is lost.
-                await self._commit(item.seq, item.event, wid=wid)
-                self._queue.task_done()
-
-    async def _worker_loop(self, wid: int) -> None:
-        queue = self._ensure_queue()
-        while True:
-            seq, event, t_offer = await queue.get()
+            batch = [await queue.get()]
+            while not queue.empty():
+                batch.append(queue.get_nowait())
             t_pick = _time.perf_counter()
-            self.metrics.observe(
-                "serve.queue_wait_us",
-                (t_pick - t_offer) * 1e6,
-                buckets=STAGE_BUCKETS_US,
-            )
-            if self.reqtrace is not None:
-                self.reqtrace.record(
-                    "queue_wait", seq, wid, t_offer, t_pick - t_offer
-                )
-            item = _Inflight(seq, event)
-            self._inflight[wid] = item
-            if self._fault_hook is not None:
-                # Transport-stage processing (parse/validate stand-in);
-                # the test fault injector raises here.
-                self._fault_hook(wid, event)
-            await self._commit(seq, event, item, wid=wid)
-            self._inflight[wid] = None
-            queue.task_done()
+            for event, t_offer in batch:
+                self._process(self._next_pick, event, t_offer, t_pick)
+                self._next_pick += 1
+                queue.task_done()
 
-    async def _commit(
-        self,
-        seq: int,
-        event: Event,
-        item: Optional[_Inflight] = None,
-        wid: Optional[int] = None,
+    def _process(
+        self, seq: int, event: Event, t_offer: float, t_pick: float
     ) -> None:
-        t_gate = _time.perf_counter()
-        await self._gate.wait(seq)
-        if item is not None:
-            item.applying = True
-        start = _time.perf_counter()
         self.metrics.observe(
-            "serve.commit_wait_us",
-            (start - t_gate) * 1e6,
+            "serve.queue_wait_us",
+            (t_pick - t_offer) * 1e6,
             buckets=STAGE_BUCKETS_US,
         )
+        if self.reqtrace is not None:
+            self.reqtrace.record("queue_wait", seq, t_offer, t_pick - t_offer)
+        if self._fault_hook is not None:
+            try:
+                self._fault_hook(event)
+            except Exception:
+                # Transport-stage fault: the core never saw the event,
+                # so apply it anyway — feedback is never lost.
+                self._fault(seq, "transport")
         try:
-            decision = self.core.handle(event)
-        finally:
-            self._gate.done(seq)
+            self._commit(seq, event, t_pick)
+        except Exception:
+            self._fault(seq, "commit")
+            self.metrics.inc("serve.events_failed")
+
+    def _fault(self, seq: int, stage: str) -> None:
+        self.metrics.inc("serve.consumer_faults")
+        self.events_log.append(
+            {"kind": "serve.consumer_fault", "seq": seq, "stage": stage}
+        )
+
+    def _commit(self, seq: int, event: Event, t_pick: float) -> None:
+        start = _time.perf_counter()
+        # Head-of-line wait inside the drained batch.
+        self.metrics.observe(
+            "serve.commit_wait_us",
+            (start - t_pick) * 1e6,
+            buckets=STAGE_BUCKETS_US,
+        )
+        decision = self.core.handle(event)
         t_rank = _time.perf_counter()
         elapsed_us = (t_rank - start) * 1e6
         if isinstance(event, ProbeEvent):
@@ -350,8 +260,6 @@ class RankingService:
             self.decisions.append(decision)
             self.metrics.inc("serve.decisions_total", kind=decision.kind)
             self.metrics.inc("serve.ssids_offered", len(decision.ssids))
-            if self._on_decision is not None:
-                self._on_decision(decision)
         t_apply = _time.perf_counter()
         self.metrics.observe(
             "serve.apply_us",
@@ -359,18 +267,15 @@ class RankingService:
             buckets=LATENCY_BUCKETS_US,
         )
         if self.reqtrace is not None:
-            self.reqtrace.record(
-                "commit_wait", seq, wid, t_gate, start - t_gate
-            )
+            self.reqtrace.record("commit_wait", seq, t_pick, start - t_pick)
             self.reqtrace.record(
                 "rank",
                 seq,
-                wid,
                 start,
                 t_rank - start,
                 kind=None if decision is None else decision.kind,
             )
-            self.reqtrace.record("apply", seq, wid, t_rank, t_apply - t_rank)
+            self.reqtrace.record("apply", seq, t_rank, t_apply - t_rank)
 
     # -- bookkeeping -----------------------------------------------------------
 
@@ -397,7 +302,6 @@ class RankingService:
             self._heartbeat.duration_s = float(max(1, submitted))
         return {
             "kind": "serve",
-            "workers": self.workers,
             "events": int(offered),
             "committed": int(self._committed),
             "probes_per_s": rate,
@@ -409,8 +313,8 @@ class RankingService:
             ),
             "p50_us": estimate_percentile(hist, 50) if hist else None,
             "p99_us": estimate_percentile(hist, 99) if hist else None,
-            "worker_restarts": int(
-                self.metrics.counter_value("serve.worker_restarts")
+            "consumer_faults": int(
+                self.metrics.counter_value("serve.consumer_faults")
             ),
         }
 
@@ -476,12 +380,13 @@ def serve_metrics_doc(
 
     The same document shape the batch executor writes, so the whole
     ``obs`` toolchain — ``summarize``, ``prom``, the schema validator —
-    works on serving runs unchanged.
+    works on serving runs unchanged.  ``workers`` is always 1 (one
+    consumer); the schema requires the field.
     """
     snapshot = service.metrics.to_dict()
     return {
         "schema": METRICS_SCHEMA,
-        "workers": service.workers,
+        "workers": 1,
         "run_count": 1,
         "merged": snapshot,
         "runs": [
@@ -500,7 +405,6 @@ def serve_metrics_doc(
 def run_stream(
     core: RankingCore,
     events: Iterable[Event],
-    workers: Optional[int] = None,
     queue_max: Optional[int] = None,
     shed: bool = False,
     metrics: Optional[MetricsRegistry] = None,
@@ -514,7 +418,6 @@ def run_stream(
     """
     service = RankingService(
         core,
-        workers=workers,
         queue_max=queue_max,
         shed=shed,
         metrics=metrics,

@@ -1,6 +1,9 @@
 """Epoch-barrier checkpoints for the district-sharded engine.
 
-Layout, under ``<artifact dir>/checkpoints/``::
+Layout, under ``<artifact dir>/checkpoints/run-<pid>-<n>/`` — one
+directory per engine run, so runs that share an artefact directory
+(the concurrent specs of one batch) never overwrite each other's
+manifest or prune each other's blobs::
 
     shard-<k>-epoch-<e>.bin   one CRC-framed blob per shard
     pending-epoch-<e>.bin     the coordinator's buffered inboxes
@@ -57,7 +60,8 @@ def resolve_ckpt_every(every: Optional[int] = None) -> int:
 
 
 def checkpoint_dir(base: Optional[Path] = None) -> Path:
-    """Where this run's checkpoints live (not created here)."""
+    """The root holding every run's checkpoint directory (not created
+    here)."""
     return (base if base is not None else artifact_dir()) / CKPT_SUBDIR
 
 

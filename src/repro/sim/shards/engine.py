@@ -23,7 +23,7 @@ either execution mode:
 
 **Fault tolerance** (PR 8, process mode): with
 ``REPRO_SHARD_CKPT_EVERY=N`` every shard serialises its barrier state
-to ``checkpoints/`` every N epochs and the coordinator commits a
+to ``checkpoints/<run id>/`` every N epochs and the coordinator commits a
 manifest naming the last globally consistent barrier (see
 :mod:`repro.sim.shards.checkpoint`).  The coordinator detects dead
 shards (pipe ``EOFError`` + exitcode polling), hung shards (a per-phase
@@ -51,10 +51,12 @@ and ``repro obs shard-trace`` (see :mod:`repro.obs.epochs`).
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import multiprocessing as mp
 import os
 import pathlib
+import shutil
 import time as _time
 import traceback
 from collections import deque
@@ -119,6 +121,8 @@ OPS_PREFIX = "shardops."
 SIM_PREFIX = "shardsim."
 
 RESULT_SCHEMA = "repro.shard_run/v1"
+
+_RUN_IDS = itertools.count()
 
 
 def resolve_shards(shards: Optional[int] = None) -> int:
@@ -535,6 +539,9 @@ class ShardedCitySim:
         self.max_recoveries = resolve_max_recoveries()
         self._phase_walls: deque = deque(maxlen=32)
         self._last_ckpt_epoch = -1
+        # Unique among live runs (pid + per-process counter): concurrent
+        # runs in one artefact dir never share checkpoint files.
+        self.run_id = "run-%d-%d" % (os.getpid(), next(_RUN_IDS))
 
     def run(self) -> ShardRunResult:
         if self.mode == "process" and self.shards > 1:
@@ -542,6 +549,19 @@ class ShardedCitySim:
         return self._run_inline()
 
     # -- checkpoint barrier (shared by both modes) ------------------------
+
+    def _ckpt_dir(self) -> Optional[pathlib.Path]:
+        """This run's own, emptied checkpoint directory; None when off.
+
+        Emptied because a finished process's leftovers may sit under a
+        reused pid, and a stale manifest must never become a recovery
+        point.
+        """
+        if self.ckpt_every <= 0:
+            return None
+        path = checkpoint_dir() / self.run_id
+        shutil.rmtree(path, ignore_errors=True)
+        return path
 
     def _ckpt_due(self, epoch: int) -> bool:
         return (
@@ -608,7 +628,7 @@ class ShardedCitySim:
             if fault is not None
             else None
         )
-        ckpt_dir = checkpoint_dir() if self.ckpt_every > 0 else None
+        ckpt_dir = self._ckpt_dir()
         ops = _empty_ops()
         runtimes = [
             ShardRuntime(
@@ -714,7 +734,7 @@ class ShardedCitySim:
 
     def _run_process(self) -> ShardRunResult:
         shards = self.shards
-        ckpt_dir = checkpoint_dir() if self.ckpt_every > 0 else None
+        ckpt_dir = self._ckpt_dir()
         ops = _empty_ops()
         walls = {"phase": 0.0, "handoff": 0.0}
         incarnation = 0

@@ -199,3 +199,24 @@ class TestCli:
         assert any(m.startswith("speedup@") for m in (
             d["metric"] for d in report["deltas"]
         ))
+
+    def test_committed_serve_baseline_gates_per_client_count(self):
+        """BENCH_serve gates one probes/s and one shed row per client
+        count (no worker axis) at floors never below 5000 / 3500."""
+        baseline = load_bench_doc(
+            pathlib.Path(__file__).resolve().parents[1]
+            / "benchmarks"
+            / "baselines"
+            / "BENCH_serve.json"
+        )
+        metrics = extract_bench_metrics(baseline)
+        gated = {name for name, m in metrics.items() if m["gated"]}
+        assert gated == {
+            "probes_per_s@20cl", "probes_per_s@100cl",
+            "shed_fraction@20cl", "shed_fraction@100cl",
+            "max_probes_per_s",
+        }
+        assert metrics["probes_per_s@20cl"]["value"] >= 5000
+        assert metrics["probes_per_s@100cl"]["value"] >= 3500
+        assert metrics["max_probes_per_s"]["value"] >= 5000
+        assert compare_bench(baseline, baseline, tolerance=0.35)["ok"]

@@ -9,7 +9,7 @@ tests prove it end to end: record the attacker-visible event stream and
 the decision stream from real venue scenarios (several venues, seeds,
 configs and both fidelity modes), replay the events through the
 service, and compare the decision sequences byte for byte — globally,
-per client, and at multiple worker counts.
+per client, and at several ingress queue bounds.
 """
 
 import pytest
@@ -53,7 +53,7 @@ class TestBitIdentical:
     def test_decision_stream_identical(self, recording, city, wigle):
         """The whole decision stream matches, byte for byte."""
         core = recording.seeded_core(wigle, city)
-        service = run_stream(core, recording.events, workers=1)
+        service = run_stream(core, recording.events)
         assert decision_rows(service.decisions) == decision_rows(
             recording.decisions
         )
@@ -64,7 +64,7 @@ class TestBitIdentical:
     def test_per_client_sequences_identical(self, recording, city, wigle):
         """Every client sees the exact burst sequence the sim sent it."""
         core = recording.seeded_core(wigle, city)
-        service = run_stream(core, recording.events, workers=2)
+        service = run_stream(core, recording.events)
         got = decisions_by_client(service.decisions)
         want = decisions_by_client(recording.decisions)
         assert set(got) == set(want)
@@ -73,11 +73,15 @@ class TestBitIdentical:
                 d.as_row() for d in want[mac]
             ], "client %s diverged" % mac
 
-    @pytest.mark.parametrize("workers", [1, 3, 8])
-    def test_worker_count_invariance(self, recording, city, wigle, workers):
-        """Concurrency never changes the decisions, only the transport."""
+    @pytest.mark.parametrize("queue_max", [1, 4, 1024])
+    def test_queue_bound_invariance(self, recording, city, wigle, queue_max):
+        """Batch size never changes the decisions, only the transport.
+
+        A bound of 1 forces batches of one; 1024 lets whole bursts of
+        the stream drain into one batch.
+        """
         core = recording.seeded_core(wigle, city)
-        service = run_stream(core, recording.events, workers=workers)
+        service = run_stream(core, recording.events, queue_max=queue_max)
         assert decisions_digest(service.decisions) == decisions_digest(
             recording.decisions
         )
@@ -85,7 +89,7 @@ class TestBitIdentical:
     def test_session_state_identical(self, recording, city, wigle):
         """The core's session converges to the sim attacker's session."""
         core = recording.seeded_core(wigle, city)
-        run_stream(core, recording.events, workers=4)
+        run_stream(core, recording.events)
         sim_session = recording.result.session
         sim_clients = sim_session.clients
         srv_clients = core.session.clients
@@ -116,20 +120,20 @@ class TestObserveOnly:
     scheduling.  Re-run every differential scenario with
     ``REPRO_REQ_TRACE=1`` and fast service heartbeats enabled and
     demand the digest the un-instrumented run produced, at several
-    worker counts (satellite of the request-tracing PR; mirrors the
-    lineage/epoch tracer invariance tests).
+    ingress queue bounds (mirrors the lineage/epoch tracer invariance
+    tests).
     """
 
-    @pytest.mark.parametrize("workers", [1, 3, 8])
+    @pytest.mark.parametrize("queue_max", [1, 4, 1024])
     def test_tracing_on_digest_identical(
-        self, recording, city, wigle, workers, monkeypatch, tmp_path
+        self, recording, city, wigle, queue_max, monkeypatch, tmp_path
     ):
         monkeypatch.setenv("REPRO_REQ_TRACE", "1")
         monkeypatch.setenv("REPRO_SERVE_HEARTBEAT", "0.05")
         # finish() flushes reqtrace JSONL; keep it out of the repo tree.
         monkeypatch.setenv("REPRO_ARTIFACT_DIR", str(tmp_path))
         core = recording.seeded_core(wigle, city)
-        service = run_stream(core, recording.events, workers=workers)
+        service = run_stream(core, recording.events, queue_max=queue_max)
         assert decisions_digest(service.decisions) == decisions_digest(
             recording.decisions
         )

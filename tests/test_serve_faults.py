@@ -1,12 +1,11 @@
 """Fault discipline of the serving layer.
 
-Overload and crash behaviour, pinned by test: a full ingress queue
+Overload and fault behaviour, pinned by test: a full ingress queue
 sheds *probes* (counted, never silent) but always backpressures
-feedback; a crashing worker restarts with all session state intact and
-salvages its in-flight event; a core-level failure is counted and
-released so the stream never deadlocks; and malformed trace lines are
-skipped with the same torn-line discipline ``repro.obs.epochs`` applies
-to shard telemetry.
+feedback; a transport-stage fault in the one consumer is counted and
+the event still applied; a core-level failure is counted and the
+stream continues; and malformed trace lines are skipped with the same
+torn-line discipline ``repro.obs.epochs`` applies to shard telemetry.
 """
 
 import asyncio
@@ -18,6 +17,7 @@ from repro.serve.events import FeedbackEvent, ProbeEvent, decisions_digest
 from repro.serve.service import RankingService, run_stream, serve_stream
 from repro.serve.trace import load_trace
 from repro.serve.workload import client_mac, synthetic_stream
+from repro.wigle.queries import top_ssids_by_count
 
 
 @pytest.fixture
@@ -39,9 +39,9 @@ class TestShedding:
         """Probes beyond the bound are dropped and show up in shed_total."""
 
         async def scenario():
-            service = RankingService(core, workers=2, queue_max=4, shed=True)
+            service = RankingService(core, queue_max=4, shed=True)
             accepted = []
-            # Workers not started yet: the queue fills and stays full.
+            # Consumer not started yet: the queue fills and stays full.
             for event in _probes(10):
                 accepted.append(await service.submit(event))
             await service.start()
@@ -63,7 +63,7 @@ class TestShedding:
         """Feedback waits for queue space instead of being dropped."""
 
         async def scenario():
-            service = RankingService(core, workers=1, queue_max=2, shed=True)
+            service = RankingService(core, queue_max=2, shed=True)
             for event in _probes(2):
                 await service.submit(event)
             # Queue full: a probe would shed, feedback must block.
@@ -88,16 +88,19 @@ class TestShedding:
         )
 
 
-class TestWorkerCrashes:
-    def test_restart_preserves_state_and_salvages_inflight(self, core, city, wigle):
-        """A transport-stage crash reapplies the event after restart.
+class TestConsumerFaults:
+    def test_transport_fault_still_applies_the_event(self, core, city, wigle):
+        """A transport-stage fault is counted and the event still applied.
 
-        The decision stream must equal the fault-free run's: the crash
-        happens before the core saw the event, so the supervisor
-        re-applies it and nothing — especially feedback — is lost.
+        The decision stream must equal the fault-free run's: the fault
+        happens before the core saw the event, so the consumer applies
+        it anyway and nothing — especially feedback — is lost.
         """
+        # Feedback names WiGLE-head SSIDs, so dropping any one of them
+        # would move the digest.
+        pool = [ssid for ssid, _ in top_ssids_by_count(wigle, 8)]
         events = synthetic_stream(
-            4, 60, seed=5, ssid_pool=["a-net", "b-net"],
+            4, 60, seed=5, ssid_pool=pool,
             direct_share=0.2, feedback_share=0.2,
         )
         reference = run_stream(
@@ -105,29 +108,28 @@ class TestWorkerCrashes:
                 wigle, city.heatmap, city.venues[0].region.center, seed=3
             ),
             events,
-            workers=3,
         )
 
-        crashed = []
+        faulted = []
 
-        def fault_hook(wid, event):
-            # Crash exactly once, on the first feedback event seen.
-            if not crashed and isinstance(event, FeedbackEvent):
-                crashed.append(event)
+        def fault_hook(event):
+            # Fault exactly once, on the first feedback event seen.
+            if not faulted and isinstance(event, FeedbackEvent):
+                faulted.append(event)
                 raise RuntimeError("injected transport fault")
 
-        service = RankingService(core, workers=3, fault_hook=fault_hook)
+        service = RankingService(core, fault_hook=fault_hook)
         asyncio.run(serve_stream(service, events))
-        assert crashed, "fault hook never fired"
-        assert service.metrics.counter_value("serve.worker_restarts") == 1
+        assert faulted, "fault hook never fired"
+        assert service.metrics.counter_value("serve.consumer_faults") == 1
         assert service.metrics.counter_value("serve.events_failed") == 0
         assert decisions_digest(service.decisions) == decisions_digest(
             reference.decisions
         )
-        # All events were applied despite the crash: state is intact.
+        # All events were applied despite the fault: state is intact.
         assert core.events_handled == len(events)
 
-    def test_mid_apply_failure_counted_and_stream_continues(self, core):
+    def test_core_fault_counted_and_stream_continues(self, core):
         """A core-level failure loses one event, never the stream."""
         events = _probes(20)
         poisoned = events[7]
@@ -139,13 +141,36 @@ class TestWorkerCrashes:
             return original_handle(event)
 
         core.handle = flaky_handle
-        service = RankingService(core, workers=2)
+        service = RankingService(core)
         asyncio.run(serve_stream(service, events))
         assert service.metrics.counter_value("serve.events_failed") == 1
-        assert service.metrics.counter_value("serve.worker_restarts") == 1
+        assert service.metrics.counter_value("serve.consumer_faults") == 1
         # The other 19 events were all committed, in order.
         assert core.events_handled == len(events) - 1
-        assert len(service.decisions) > 0
+        assert len(service.decisions) == len(events) - 1
+
+
+class TestSingleConsumer:
+    def test_one_consumer_task_whatever_repro_workers_says(
+        self, core, monkeypatch
+    ):
+        """start() spawns exactly one task; the executor's REPRO_WORKERS
+        knob is not the service's."""
+
+        async def tasks_after_start():
+            service = RankingService(core)
+            before = asyncio.all_tasks()
+            await service.start()
+            spawned = asyncio.all_tasks() - before
+            await service.start()  # idempotent
+            again = asyncio.all_tasks() - before
+            await service.stop()
+            return len(spawned), len(again)
+
+        monkeypatch.delenv("REPRO_WORKERS", raising=False)
+        assert asyncio.run(tasks_after_start()) == (1, 1)
+        monkeypatch.setenv("REPRO_WORKERS", "6")
+        assert asyncio.run(tasks_after_start()) == (1, 1)
 
 
 class TestMalformedTraces:
@@ -167,5 +192,5 @@ class TestMalformedTraces:
         assert stats.skipped == 5
         assert [line for line, _ in stats.reasons] == [2, 3, 4, 5, 6]
         # The surviving events still serve.
-        service = run_stream(core, events, workers=2)
+        service = run_stream(core, events)
         assert len(service.decisions) == 2

@@ -84,9 +84,14 @@ def clean_digest():
     return run_sharded(SCENARIO, shards=4, mode="inline").digest()
 
 
-def _crash_plan(**kwargs):
+def _crash_plan(seed=SCENARIO.seed, **kwargs):
     kwargs.setdefault("crash_epoch", CRASH_EPOCH)
-    return FaultPlan(seed=SCENARIO.seed, shard_faults=ShardFaultParams(**kwargs))
+    return FaultPlan(seed=seed, shard_faults=ShardFaultParams(**kwargs))
+
+
+def _run_ckpt_dirs():
+    """Every run's checkpoint directory under the artefact dir."""
+    return sorted(checkpoint_dir().glob("run-*"))
 
 
 # -- knob resolution ---------------------------------------------------------
@@ -256,7 +261,8 @@ class TestCheckpointInvariance:
             SCENARIO, shards=4, mode="inline", ckpt_every=CKPT_EVERY
         )
         assert result.digest() == clean_digest
-        manifest = load_manifest(checkpoint_dir())
+        (run_dir,) = _run_ckpt_dirs()
+        manifest = load_manifest(run_dir)
         assert manifest is not None
         assert manifest["epoch"] == 30  # last barrier at 6-epoch cadence
         assert manifest["shards"] == 4
@@ -378,6 +384,59 @@ class TestCrashRecovery:
                 mode="inline",
                 faults=_crash_plan(crash_epoch=None, corrupt_epoch=4),
             )
+
+
+class TestConcurrentRuns:
+    def test_two_chaos_runs_keep_disjoint_checkpoints(
+        self, artifact_dir, clean_digest
+    ):
+        """Two crashing runs in one artefact dir never share checkpoints.
+
+        Deterministic interleaving: run A crashes at epoch 18, and before
+        A reads its recovery point a whole second chaos run B (another
+        seed) checkpoints, crashes and recovers in the same artefact
+        dir.  A must still roll back to its *own* epoch-18 barrier: it
+        must neither load B's manifest nor fall back to scratch because
+        B pruned A's blobs.
+        """
+        other = ShardScenario(
+            stations=80, sensors=10, duration=180.0, seed=14, size_m=360.0
+        )
+        other_clean = run_sharded(other, shards=4, mode="inline").digest()
+        sim_a = ShardedCitySim(
+            SCENARIO, shards=4, mode="process", faults=_crash_plan(),
+            ckpt_every=CKPT_EVERY,
+        )
+        sim_b = ShardedCitySim(
+            other, shards=4, mode="process",
+            faults=_crash_plan(seed=other.seed), ckpt_every=CKPT_EVERY,
+        )
+        load_a = sim_a._load_recovery_point
+        results = {}
+
+        def interleaved(ckpt_dir):
+            results["b"] = sim_b.run()
+            return load_a(ckpt_dir)
+
+        sim_a._load_recovery_point = interleaved
+        results["a"] = sim_a.run()
+
+        assert results["a"].digest() == clean_digest
+        assert results["b"].digest() == other_clean
+        for result in results.values():
+            counters = result.metrics["counters"]
+            assert counters["shardops.recovery.crashes"] == 1
+            assert counters["shardops.recovery.rollback_epochs"] == 0
+        kinds = [e["kind"] for e in read_ops_events(ops_events_path())]
+        assert "shard.ckpt_invalid" not in kinds
+        dirs = _run_ckpt_dirs()
+        assert [d.name for d in dirs] == sorted([sim_a.run_id, sim_b.run_id])
+        for run_dir in dirs:
+            # Each run's blobs are exactly its own final barrier's set.
+            manifest = load_manifest(run_dir)
+            assert manifest["epoch"] == 30
+            names = set(manifest["files"].values()) | {manifest["pending"]}
+            assert {p.name for p in run_dir.glob("*.bin")} == names
 
 
 # -- shutdown escalation -----------------------------------------------------

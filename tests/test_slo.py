@@ -152,15 +152,13 @@ class TestEvaluate:
         doc = {
             "schema": SERVE_SCHEMA,
             "grid": [
-                {"clients": 20, "workers": 1, "p99_us": 200.0,
-                 "shed_fraction": 0.0},
-                {"clients": 20, "workers": 4, "p99_us": 90_000.0,
-                 "shed_fraction": 0.2},
+                {"clients": 20, "p99_us": 200.0, "shed_fraction": 0.0},
+                {"clients": 100, "p99_us": 90_000.0, "shed_fraction": 0.2},
             ],
         }
         report = evaluate_slo(default_slo(), doc)
         assert set(report["breaches"]) == {
-            "p99:select_latency@20cl/4wk", "shed_fraction@20cl/4wk",
+            "p99:select_latency@100cl", "shed_fraction@100cl",
         }
 
     def test_empty_bench_grid_rejected(self):
@@ -220,7 +218,7 @@ class TestObsBenchSloWiring:
     def bench_doc(self, p99=200.0):
         return {
             "schema": SERVE_SCHEMA,
-            "grid": [{"clients": 20, "workers": 1, "probes_per_s": 9000.0,
+            "grid": [{"clients": 20, "probes_per_s": 9000.0,
                       "p99_us": p99, "shed_fraction": 0.0}],
             "max_probes_per_s": 9000.0,
         }

@@ -395,11 +395,11 @@ def _write_serve(directory, pid, walls, committed=None, events=800,
                 "wall": wall, "pid": pid, "spec": "serve", "seq": seq,
                 "sim_time": float(c), "fraction": c / max(1, events),
                 "hits": 0, "done": done and last, "kind": "serve",
-                "workers": 4, "events": events, "committed": c,
+                "events": events, "committed": c,
                 "probes_per_s": 12000.0, "queue_depth": queue_depth,
                 "queue_max": queue_max, "shed": 0,
                 "shed_fraction": shed_fraction, "p50_us": 40.0,
-                "p99_us": 210.0, "worker_restarts": 0,
+                "p99_us": 210.0, "consumer_faults": 0,
             }) + "\n")
     return path
 
@@ -431,7 +431,8 @@ class TestServeWatchRows:
         rows = watch_snapshot(tmp_path, stall_after_s=60.0, now=now)
         row = rows[0]
         assert row["kind"] == "serve"
-        assert row["workers"] == 4
+        assert row["consumer_faults"] == 0
+        assert "workers" not in row
         assert row["probes_per_s"] == 12000.0
         assert row["overloaded"] is False
         assert row["stalled"] is False
@@ -453,7 +454,7 @@ class TestServeWatchRows:
         assert rows[0]["overloaded"] is True
 
     def test_frozen_commits_with_backlog_is_a_stall(self, tmp_path):
-        """A wedged sequencer keeps heartbeating; commits frozen with a
+        """A wedged consumer keeps heartbeating; commits frozen with a
         backlog past the threshold must still read as stalled."""
         now = 1000.0
         _write_serve(
@@ -550,7 +551,7 @@ class TestServiceHeartbeatIntegration:
         core = RankingCore.seeded(
             wigle, city.heatmap, city.venues[0].region.center, seed=0
         )
-        run_stream(core, synthetic_stream(8, 200, seed=0), workers=2)
+        run_stream(core, synthetic_stream(8, 200, seed=0))
         files = list((tmp_path / "telemetry").glob("serve-*.jsonl"))
         assert len(files) == 1
         records = read_heartbeats(files[0])
