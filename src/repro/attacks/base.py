@@ -146,8 +146,12 @@ class RogueAp:
 
     # -- frame handling ------------------------------------------------------
 
-    def receive(self, frame: Frame, time: float) -> None:
-        """Dispatch one received frame."""
+    def receive(self, frame: Frame, time: float, via=None) -> None:
+        """Dispatch one received frame.
+
+        ``via`` is the spoofed alias station a handshake frame reached,
+        when not this AP itself; the replies then go out from the alias.
+        """
         metrics = self.metrics
         if self.radio_down(time):
             if metrics is not None:
@@ -171,8 +175,10 @@ class RogueAp:
                 self.on_direct_probe(frame.src, frame.ssid, time)
             else:
                 self.on_broadcast_probe(frame.src, time)
-        elif isinstance(frame, AuthRequest):
-            self.medium.transmit(self, AuthResponse(self.mac, frame.src, True))
+            return
+        station = self if via is None else via
+        if isinstance(frame, AuthRequest):
+            self.medium.transmit(station, AuthResponse(station.mac, frame.src, True))
         elif isinstance(frame, AssocRequest):
             prior = self.session.clients.get(frame.src)
             fresh_hit = prior is None or not prior.connected
@@ -188,14 +194,14 @@ class RogueAp:
                     self._lineage.event(
                         time,
                         "hit",
-                        self.mac,
+                        station.mac,
                         client=frame.src,
                         ssid=frame.ssid,
                         origin=record.hit_origin,
                         bucket=record.hit_bucket,
                     )
             self.medium.transmit(
-                self, AssocResponse(self.mac, frame.src, frame.ssid, True)
+                station, AssocResponse(station.mac, frame.src, frame.ssid, True)
             )
             self.on_hit(frame.src, frame.ssid, time)
 
@@ -213,13 +219,19 @@ class RogueAp:
 
     # -- transmit helpers ------------------------------------------------------
 
+    def alias_for(self, ssid: str):
+        """The station whose BSSID advertises ``ssid``: this AP itself
+        (a subclass may spoof one BSSID per SSID)."""
+        return self
+
     def send_mimic(self, client: MacAddress, ssid: str, time: float) -> None:
         """Reply to a direct probe with an open evil twin of ``ssid``."""
         self.session.record_mimic(client, time, ssid)
         self._count_sent([SentSsid(ssid, origin="mimic", bucket="mimic")])
+        station = self.alias_for(ssid)
         self.medium.transmit(
-            self,
-            ProbeResponse(self.mac, client, ssid, Security.OPEN),
+            station,
+            ProbeResponse(station.mac, client, ssid, Security.OPEN),
             self.timing.response_airtime,
         )
 
@@ -232,8 +244,8 @@ class RogueAp:
         self.session.record_sent(client, time, metas)
         self._count_sent(metas)
         responses: List[ProbeResponse] = [
-            ProbeResponse(self.mac, client, meta.ssid, Security.OPEN)
-            for meta in metas
+            ProbeResponse(self.alias_for(m.ssid).mac, client, m.ssid, Security.OPEN)
+            for m in metas
         ]
         lineage = self._lineage
         if lineage is None:

@@ -17,26 +17,25 @@ discussion implies — changes two things:
    measured in ``benchmarks/bench_stealth.py``.
 
 Association still works: the phone associates to the alias BSSID it saw,
-the alias forwards the handshake to the hunter, and the hit is recorded
-against the same session.
+and the alias hands the handshake to the hunter's own handshake path
+(:meth:`~repro.attacks.base.RogueAp.receive` with the alias as ``via``),
+so outages, hit metrics and lineage apply exactly as for the plain
+attacker and the replies go out from the alias BSSID.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence
+from typing import Dict
 
-from repro.analysis.session import SentSsid
 from repro.core.hunter import CityHunter
-from repro.dot11.capabilities import Security
-from repro.dot11.frames import Frame, ProbeRequest, ProbeResponse
+from repro.dot11.frames import Frame, ProbeRequest
 from repro.dot11.mac import MacAddress, random_ap_mac
-from repro.dot11.medium import Medium  # noqa: F401  (doc reference)
 from repro.geo.point import Point
 from repro.sim.simulation import Simulation
 
 
 class _AliasStation:
-    """One spoofed BSSID; forwards unicast traffic to the hunter."""
+    """One spoofed BSSID; hands its unicast handshake to the hunter."""
 
     __slots__ = ("mac", "owner")
 
@@ -52,10 +51,8 @@ class _AliasStation:
         # after a client picked this BSSID); probes are the main
         # station's business — otherwise every alias would answer every
         # broadcast probe.
-        if isinstance(frame, ProbeRequest):
-            return
-        if frame.dst == self.mac:
-            self.owner.receive_as(self.mac, frame, time)
+        if not isinstance(frame, ProbeRequest) and frame.dst == self.mac:
+            self.owner.receive(frame, time, via=self)
 
 
 class StealthCityHunter(CityHunter):
@@ -91,77 +88,12 @@ class StealthCityHunter(CityHunter):
         """How many spoofed BSSIDs are live."""
         return len(self._alias_by_ssid)
 
-    def receive_as(self, alias_mac: MacAddress, frame: Frame, time: float) -> None:
-        """Handle a handshake frame addressed to one of our aliases."""
-        from repro.dot11.frames import (
-            AssocRequest,
-            AssocResponse,
-            AuthRequest,
-            AuthResponse,
-        )
-
-        alias = next(
-            a for a in self._alias_by_ssid.values() if a.mac == alias_mac
-        )
-        if isinstance(frame, AuthRequest):
-            self.medium.transmit(alias, AuthResponse(alias_mac, frame.src, True))
-        elif isinstance(frame, AssocRequest):
-            prior = self.session.clients.get(frame.src)
-            fresh_hit = prior is None or not prior.connected
-            record = self.session.record_hit(frame.src, time, frame.ssid)
-            if fresh_hit:
-                self._count_hit(record)
-            self.medium.transmit(
-                alias, AssocResponse(alias_mac, frame.src, frame.ssid, True)
-            )
-            self.on_hit(frame.src, frame.ssid, time)
-
-    # -- overridden transmit paths ----------------------------------------------
-
-    def send_mimic(self, client: MacAddress, ssid: str, time: float) -> None:
-        """Reflect a direct probe — from the SSID's own alias BSSID."""
-        self.session.record_mimic(client, time, ssid)
-        alias = self.alias_for(ssid)
-        self.medium.transmit(
-            alias,
-            ProbeResponse(alias.mac, client, ssid, Security.OPEN),
-            self.timing.response_airtime,
-        )
-
     def on_direct_probe(self, client: MacAddress, ssid: str, time: float) -> None:
         """Harvest/reflect, but never answer for SSIDs we do not know
         unless ``mimic_unknown`` — that silence is what defeats canaries."""
-        if ssid in self.db:
-            self.db.bump_weight(ssid, self.config.direct_repeat_bump)
-            entry = self.db.get(ssid)
-            entry.direct_seen = True
-            entry.last_direct_seen = time
-            self.send_mimic(client, ssid, time)
-            return
-        if self.mimic_unknown:
+        if ssid in self.db or self.mimic_unknown:
             super().on_direct_probe(client, ssid, time)
         else:
             # Still learn the SSID (a future client may hold it); just
             # do not blindly impersonate it right now.
-            self.db.add(
-                ssid, self.config.direct_initial_weight, origin="direct", time=time
-            )
-            entry = self.db.get(ssid)
-            entry.direct_seen = True
-            entry.last_direct_seen = time
-            self.session.record_db_size(time, len(self.db))
-
-    def send_ssid_burst(
-        self, client: MacAddress, metas: Sequence[SentSsid], time: float
-    ) -> None:
-        """Advertise the burst with one spoofed BSSID per SSID."""
-        if not metas:
-            return
-        self.session.record_sent(client, time, metas)
-        responses: List[ProbeResponse] = [
-            ProbeResponse(self.alias_for(m.ssid).mac, client, m.ssid, Security.OPEN)
-            for m in metas
-        ]
-        self.medium.transmit_response_burst(
-            self, responses, self.timing.response_airtime
-        )
+            self.core.learn_direct(ssid, time)

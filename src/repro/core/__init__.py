@@ -11,8 +11,11 @@ Pieces (paper Section IV):
 * :mod:`repro.core.selection` — per-client assembly of the popularity &
   freshness buffers (with their ghost lists) into the 40-SSID burst,
   honouring untried lists;
-* :mod:`repro.core.hunter` — the :class:`CityHunter` attacker tying it
-  all together (plus the Sec. V-B carrier-SSID extension).
+* :mod:`repro.core.hunter` — the :class:`CityHunter` attacker on the
+  medium (plus the Sec. V-B carrier-SSID extension): a frame adapter
+  over :class:`~repro.serve.core.RankingCore`, the one kernel that
+  applies steps 2-4 to these pieces for both the simulator and the
+  ranking service.
 """
 
 from repro.core.adaptive import AdaptiveSplit

@@ -1,31 +1,27 @@
-"""The advanced City-Hunter attacker (paper Section IV).
+"""The advanced City-Hunter attacker (paper Section IV) on the medium.
 
-Implements the four-step loop of Fig. 3: database initialisation from
-WiGLE + heat map, online updating (direct-probe harvest, hit-record
-weight bumps, freshness list), adaptive PB/FB selection with ghost-list
-exploration, and per-client untried bookkeeping.  Direct probes are
-handled KARMA-style, as the paper specifies.
+:class:`CityHunter` is the frame adapter over the one City-Hunter kernel,
+:class:`~repro.serve.core.RankingCore`: the kernel owns the WiGLE +
+heat-map seeded database, the adaptive PB/FB split with its ghost lists
+and the per-client untried lists (steps 1-4 of Fig. 3), while this class
+turns probe and association frames into kernel calls and the kernel's
+answers into probe responses, ``hunter.*`` metrics and ``pbfb_swap``
+events.  Direct probes are answered KARMA-style, as the paper specifies.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Set
-
-import numpy as np
+from typing import Optional
 
 from repro.attacks.base import RogueAp
 from repro.city.heatmap import HeatMap
-from repro.core.adaptive import AdaptiveSplit
 from repro.core.config import CityHunterConfig
-from repro.core.seeding import SeedingStats, seed_database
-from repro.core.selection import select_for_client
-from repro.core.ssid_database import WeightedSsidDatabase
 from repro.dot11.mac import MacAddress
 from repro.faults.plan import WigleFaultParams
+# select_for_client is re-exported because perfbench wraps it by module.
+from repro.serve.core import RNG_STREAM, RankingCore, select_for_client  # noqa: F401
 from repro.sim.simulation import Simulation
 from repro.wigle.database import WigleDatabase
-
-_EMPTY_SET: frozenset = frozenset()
 
 
 class CityHunter(RogueAp):
@@ -45,31 +41,25 @@ class CityHunter(RogueAp):
         **kwargs,
     ):
         super().__init__(*args, **kwargs)
-        self.config = config if config is not None else CityHunterConfig()
-        self.seeding_stats = SeedingStats()
-        self.db: WeightedSsidDatabase = seed_database(
+        core = self.core = RankingCore.seeded(
             wigle,
             heatmap,
             self.position,
-            self.config,
+            config=config,
             use_heat=use_heat,
-            faults=wigle_faults,
-            fault_seed=wigle_fault_seed,
-            stats=self.seeding_stats,
+            wigle_faults=wigle_faults,
+            wigle_fault_seed=wigle_fault_seed,
         )
-        self.split = AdaptiveSplit(
-            total=self.config.burst_total,
-            initial_pb=self.config.initial_pb,
-            min_size=self.config.min_buffer,
-            enabled=self.config.adaptive,
-        )
-        self._tried: Dict[MacAddress, Set[str]] = {}
-        self._rng: Optional[np.random.Generator] = None
+        core.session = self.session
+        # Aliases into the kernel, which never rebinds them.
+        self.config, self.db, self.split = core.config, core.db, core.split
+        self.seeding_stats = core.seeding_stats
 
     def start(self, sim: Simulation) -> None:
-        """Attach to the medium and claim an RNG stream for ghost picks."""
+        """Attach to the medium and hand the kernel the shared ghost-pick
+        stream (co-deployed hunters draw from one generator)."""
         super().start(sim)
-        self._rng = sim.rngs.stream("cityhunter")
+        self.core.rng = sim.rngs.stream(RNG_STREAM)
         self.session.record_db_size(sim.now, len(self.db))
         self._record_split(sim.now)
         stats = self.seeding_stats
@@ -121,34 +111,13 @@ class CityHunter(RogueAp):
 
     def on_broadcast_probe(self, client: MacAddress, time: float) -> None:
         """Step 3+4: select and send the best untried SSIDs."""
-        if self.config.untried_lists:
-            tried = self._tried.setdefault(client, set())
-        else:
-            tried = _EMPTY_SET
-        metas = select_for_client(
-            self.db, tried, self.split, self.config, self._rng, now=time
-        )
-        if not metas:
-            return
-        if self.config.untried_lists:
-            tried.update(m.ssid for m in metas)
-        self.send_ssid_burst(client, metas, time)
+        self.send_ssid_burst(client, self.core.choose_burst(client, time), time)
 
     def on_direct_probe(self, client: MacAddress, ssid: str, time: float) -> None:
         """KARMA-style reflection plus online database updating."""
-        if ssid in self.db:
-            self.db.bump_weight(ssid, self.config.direct_repeat_bump)
-        else:
-            self.db.add(
-                ssid, self.config.direct_initial_weight, origin="direct", time=time
-            )
-            self.session.record_db_size(time, len(self.db))
-            if self.metrics is not None:
-                self.metrics.inc("hunter.db_adds", provenance="overheard-direct")
-                self.metrics.gauge_max("hunter.db_size_peak", len(self.db))
-        entry = self.db.get(ssid)
-        entry.direct_seen = True
-        entry.last_direct_seen = time
+        if self.core.learn_direct(ssid, time) and self.metrics is not None:
+            self.metrics.inc("hunter.db_adds", provenance="overheard-direct")
+            self.metrics.gauge_max("hunter.db_size_peak", len(self.db))
         self.send_mimic(client, ssid, time)
 
     # -- online updating on hits ---------------------------------------------------
@@ -157,26 +126,18 @@ class CityHunter(RogueAp):
         """Step 2: weight bump, freshness update, buffer adaptation."""
         record = self.session.clients.get(client)
         bucket = record.hit_bucket if record is not None else None
-        broadcast_hit = bucket is not None and bucket != "mimic"
-        self.db.record_hit(
-            ssid,
-            time,
-            weight_bonus=self.config.hit_weight_bonus,
-            fresh=broadcast_hit,
-        )
-        self.db.trim_recency(self.config.recency_cap)
-        if broadcast_hit:
-            direction = self.split.on_hit(bucket)
-            if direction is not None:
-                self._record_split(time)
-                if self.metrics is not None:
-                    self.metrics.inc("hunter.pbfb_swaps", direction=direction)
-                if self.sim is not None:
-                    self.sim.record_event(
-                        "pbfb_swap",
-                        direction=direction,
-                        pb=self.split.pb_size,
-                        fb=self.split.fb_size,
-                        trigger_bucket=bucket,
-                        ssid=ssid,
-                    )
+        direction = self.core.learn_hit(ssid, time, bucket)
+        if direction is None:
+            return
+        self._record_split(time)
+        if self.metrics is not None:
+            self.metrics.inc("hunter.pbfb_swaps", direction=direction)
+        if self.sim is not None:
+            self.sim.record_event(
+                "pbfb_swap",
+                direction=direction,
+                pb=self.split.pb_size,
+                fb=self.split.fb_size,
+                trigger_bucket=bucket,
+                ssid=ssid,
+            )

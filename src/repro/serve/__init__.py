@@ -1,14 +1,16 @@
 """Attacker-as-a-service: async probe-stream ranking.
 
 The paper's attack loop — rank WiGLE-seeded SSIDs, answer each probing
-client with a PB/FB/ghost burst, learn from association feedback —
-extracted from the batch simulator into a serving system:
+client with a PB/FB/ghost burst, learn from association feedback — as a
+serving system around the same kernel the simulator's
+:class:`~repro.core.hunter.CityHunter` drives:
 
 * :mod:`repro.serve.events` — probe/feedback events in, burst decisions
   out, with canonical digests;
-* :mod:`repro.serve.core` — the synchronous ranking state machine,
-  proven bit-identical to the inline simulator by the differential
-  harness;
+* :mod:`repro.serve.core` — the City-Hunter kernel
+  (:class:`RankingCore`) and its event adapter; the differential
+  harness proves the event path bit-identical to the simulator's frame
+  path;
 * :mod:`repro.serve.service` — the asyncio layer: bounded ingress,
   backpressure or shedding, one consumer that drains the queue in
   batches and commits them in ingress order, ``serve.*`` metrics;

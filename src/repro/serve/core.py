@@ -1,34 +1,40 @@
-"""The synchronous probe-stream ranking core.
+"""The City-Hunter kernel: paper steps 2-4 as synchronous state transitions.
 
-This is the City-Hunter attack loop (paper Section IV) extracted from
-the batch simulator into a pure event-in / decision-out state machine:
-feed it :class:`~repro.serve.events.ProbeEvent` and
-:class:`~repro.serve.events.FeedbackEvent` objects in stream order and
-it emits :class:`~repro.serve.events.BurstDecision` objects, mutating
-the same :class:`~repro.core.ssid_database.WeightedSsidDatabase`,
-:class:`~repro.core.adaptive.AdaptiveSplit` and
-:class:`~repro.analysis.session.AttackSession` machinery the inline
-:class:`~repro.core.hunter.CityHunter` drives from the medium.
+:class:`RankingCore` is the one implementation of the attack loop of
+paper Section IV (Fig. 3): online updating from direct probes and hits,
+adaptive PB/FB selection with ghost-list exploration, and per-client
+untried lists.  It owns the
+:class:`~repro.core.ssid_database.WeightedSsidDatabase`, the
+:class:`~repro.core.adaptive.AdaptiveSplit` and the untried lists, and
+exposes three transitions:
 
-**Equivalence contract.**  For the same seeded database, the same RNG
-stream and the same event sequence, :meth:`RankingCore.handle` produces
-decisions bit-identical to the inline attacker's transmissions — the
-handlers below mirror :meth:`repro.attacks.base.RogueAp.receive` plus
-the three ``CityHunter`` hooks *operation for operation*, including the
-order of session bookkeeping around each mutation.  The differential
-harness (``tests/test_serve_differential.py``) drives both paths with
-recorded simulator streams and asserts exactly that, so any divergence
-introduced here fails CI rather than silently forking the semantics.
+* :meth:`RankingCore.choose_burst` — the burst for one client (step 3+4);
+* :meth:`RankingCore.learn_direct` — harvest or bump a direct-probed
+  SSID (step 2);
+* :meth:`RankingCore.learn_hit` — weight/freshness update and buffer
+  adaptation after an association (step 2).
 
-The core is deliberately synchronous and single-threaded: one event, one
-state transition, no awaits.  Transport (the bounded queue, shedding,
-the batching consumer) lives in :mod:`repro.serve.service`, which
-commits events through this core in ingress order.
+Two adapters drive them.  The simulator's
+:class:`~repro.core.hunter.CityHunter` calls them from its frame hooks
+on the medium.  :meth:`RankingCore.handle` is the event adapter: it
+wraps the same calls in the session bookkeeping
+:meth:`repro.attacks.base.RogueAp.receive` does around the hooks, so
+:class:`~repro.serve.events.ProbeEvent` /
+:class:`~repro.serve.events.FeedbackEvent` objects in stream order
+yield :class:`~repro.serve.events.BurstDecision` objects bit-identical
+to the simulator's transmissions.  The differential harness
+(``tests/test_serve_differential.py``) replays recorded simulator
+streams through both adapters and asserts exactly that.
+
+The core is synchronous and single-threaded: one event, one state
+transition, no awaits.  Transport (the bounded queue, shedding, the
+batching consumer) lives in :mod:`repro.serve.service`, which commits
+events through :meth:`RankingCore.handle` in ingress order.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Set
+from typing import Dict, List, Optional, Set
 
 import numpy as np
 
@@ -57,10 +63,9 @@ class RankingCore:
     """Per-node ranking state: shared SSID store + per-client sessions.
 
     The SSID store (``db``), the adaptive PB/FB split and the ghost-pick
-    RNG are *shared* across every client the node serves — exactly as in
-    the inline attacker, where one database serves every probe the
-    medium delivers.  Per-client state (untried lists, session records)
-    is keyed by MAC.
+    RNG are *shared* across every client the node serves: one database
+    serves every probe.  Per-client state (untried lists, session
+    records) is keyed by MAC.
     """
 
     def __init__(
@@ -79,7 +84,7 @@ class RankingCore:
             min_size=self.config.min_buffer,
             enabled=self.config.adaptive,
         )
-        self._rng = rng if rng is not None else np.random.default_rng(0)
+        self.rng = rng if rng is not None else np.random.default_rng(0)
         self._tried: Dict[str, Set[str]] = {}
         self.seeding_stats: Optional[SeedingStats] = None
         # Deterministic serving counters (pure functions of the stream).
@@ -105,7 +110,7 @@ class RankingCore:
         wigle_faults: Optional[WigleFaultParams] = None,
         wigle_fault_seed: int = 0,
     ) -> "RankingCore":
-        """A core seeded exactly like an inline attacker at ``position``.
+        """A core whose database is seeded for an attacker at ``position``.
 
         ``seed`` is the *scenario* seed: the ghost-pick RNG is derived
         through the same ``(seed, "cityhunter")`` fan-out the
@@ -134,29 +139,12 @@ class RankingCore:
     def db_size(self) -> int:
         return len(self.db)
 
-    # -- event handlers --------------------------------------------------------
-    #
-    # Each handler is a line-for-line mirror of the inline path:
-    # RogueAp.receive's session bookkeeping, then the CityHunter hook.
+    # -- paper steps 2-4 ---------------------------------------------------------
 
-    def handle(self, event: Event) -> Optional[BurstDecision]:
-        """Apply one event; returns the decision it produced, if any."""
-        self.events_handled += 1
-        if isinstance(event, ProbeEvent):
-            if event.is_direct:
-                return self._handle_direct(event)
-            return self._handle_broadcast(event)
-        if isinstance(event, FeedbackEvent):
-            self._handle_feedback(event)
-            return None
-        raise TypeError("unknown event type %r" % type(event).__name__)
-
-    def _handle_broadcast(self, event: ProbeEvent) -> Optional[BurstDecision]:
-        # receive(): probe observed first, then the strategy hook.
-        self.session.observe_probe(event.mac, event.time, direct=False)
-        # CityHunter.on_broadcast_probe:
+    def choose_burst(self, client: str, time: float) -> List[SentSsid]:
+        """Step 3+4: the best untried SSIDs for ``client``, marked tried."""
         if self.config.untried_lists:
-            tried = self._tried.setdefault(event.mac, set())
+            tried = self._tried.setdefault(client, set())
         else:
             tried = _EMPTY_SET
         if self._db_version == self._version_at_last_select:
@@ -165,60 +153,68 @@ class RankingCore:
             self.rank_cache_misses += 1
             self._version_at_last_select = self._db_version
         metas = select_for_client(
-            self.db, tried, self.split, self.config, self._rng, now=event.time
+            self.db, tried, self.split, self.config, self.rng, now=time
         )
-        if not metas:
-            return None
-        if self.config.untried_lists:
+        if metas and self.config.untried_lists:
             tried.update(m.ssid for m in metas)
-        # send_ssid_burst(): session first, frames after.
-        self.session.record_sent(event.mac, event.time, metas)
-        return BurstDecision(event.mac, event.time, "burst", tuple(metas))
+        return metas
 
-    def _handle_direct(self, event: ProbeEvent) -> BurstDecision:
-        self.session.observe_probe(event.mac, event.time, direct=True)
-        # CityHunter.on_direct_probe: KARMA reflection + online update.
-        ssid = event.ssid
-        if ssid in self.db:
-            self.db.bump_weight(ssid, self.config.direct_repeat_bump)
-        else:
+    def learn_direct(self, ssid: str, time: float) -> bool:
+        """Step 2: harvest or bump a direct-probed SSID; True if it was new."""
+        new = ssid not in self.db
+        if new:
             self.db.add(
-                ssid,
-                self.config.direct_initial_weight,
-                origin="direct",
-                time=event.time,
+                ssid, self.config.direct_initial_weight, origin="direct", time=time
             )
-            self.session.record_db_size(event.time, len(self.db))
+            self.session.record_db_size(time, len(self.db))
+        else:
+            self.db.bump_weight(ssid, self.config.direct_repeat_bump)
         self._db_version += 1
         entry = self.db.get(ssid)
         entry.direct_seen = True
-        entry.last_direct_seen = event.time
-        # send_mimic(): session first, frame after.
-        self.session.record_mimic(event.mac, event.time, ssid)
-        return BurstDecision(
-            event.mac,
-            event.time,
-            "mimic",
-            (SentSsid(ssid, origin="mimic", bucket="mimic"),),
-        )
+        entry.last_direct_seen = time
+        return new
 
-    def _handle_feedback(self, event: FeedbackEvent) -> None:
-        # receive() AssocRequest path: the session records the hit
-        # (first association wins), then the strategy hook adapts.
-        record = self.session.record_hit(event.mac, event.time, event.ssid)
-        # CityHunter.on_hit:
-        bucket = record.hit_bucket
+    def learn_hit(
+        self, ssid: str, time: float, bucket: Optional[str]
+    ) -> Optional[str]:
+        """Step 2: learn from a hit in ``bucket``; the PB/FB swap, if any."""
         broadcast_hit = bucket is not None and bucket != "mimic"
         self.db.record_hit(
-            event.ssid,
-            event.time,
-            weight_bonus=self.config.hit_weight_bonus,
-            fresh=broadcast_hit,
+            ssid, time, weight_bonus=self.config.hit_weight_bonus, fresh=broadcast_hit
         )
         self.db.trim_recency(self.config.recency_cap)
         self._db_version += 1
-        if broadcast_hit:
-            self.split.on_hit(bucket)
+        return self.split.on_hit(bucket) if broadcast_hit else None
+
+    # -- event adapter ------------------------------------------------------------
+
+    def handle(self, event: Event) -> Optional[BurstDecision]:
+        """Apply one event; returns the decision it produced, if any.
+
+        Session bookkeeping brackets each transition in the order
+        ``RogueAp.receive`` and the send helpers apply it inline.
+        """
+        self.events_handled += 1
+        if isinstance(event, FeedbackEvent):
+            # First association wins; the recorded bucket drives learning.
+            record = self.session.record_hit(event.mac, event.time, event.ssid)
+            self.learn_hit(event.ssid, event.time, record.hit_bucket)
+            return None
+        if not isinstance(event, ProbeEvent):
+            raise TypeError("unknown event type %r" % type(event).__name__)
+        mac, time = event.mac, event.time
+        self.session.observe_probe(mac, time, direct=event.is_direct)
+        if event.is_direct:
+            self.learn_direct(event.ssid, time)
+            self.session.record_mimic(mac, time, event.ssid)
+            meta = SentSsid(event.ssid, origin="mimic", bucket="mimic")
+            return BurstDecision(mac, time, "mimic", (meta,))
+        metas = self.choose_burst(mac, time)
+        if not metas:
+            return None
+        self.session.record_sent(mac, time, metas)
+        return BurstDecision(mac, time, "burst", tuple(metas))
 
     # -- introspection ----------------------------------------------------------
 

@@ -144,7 +144,7 @@ class TestHunterFuzz:
             sim.run(sim.now + 0.5)
 
         # Invariants over the whole run:
-        for mac, tried in hunter._tried.items():
+        for mac, tried in hunter.core._tried.items():
             assert len(tried) == hunter.session.tried_count(mac)
         for rec in hunter.session.records():
             if rec.connected and rec.hit_bucket != "mimic":

@@ -22,14 +22,18 @@ from repro.serve.events import decision_rows, decisions_by_client, decisions_dig
 from repro.serve.record import record_probe_stream
 from repro.serve.service import run_stream
 
-# (venue, seed, duration, config, fidelity) — three-plus scenarios
-# spanning venues, seeds, a non-default config and the burst fidelity.
+# (venue, seed, duration, config, fidelity) — scenarios spanning venues,
+# seeds, non-default configs and the burst fidelity.  The last one turns
+# off untried lists and PB/FB adaptation, the kernel's two disabled
+# branches.
 SCENARIOS = [
     ("canteen", 11, 240.0, None, "frame"),
     ("passage", 3, 300.0, None, "frame"),
     ("shopping_center", 5, 180.0,
      CityHunterConfig(initial_pb=24, ghost_picks=1), "frame"),
     ("railway_station", 7, 180.0, None, "burst"),
+    ("canteen", 13, 180.0,
+     CityHunterConfig(untried_lists=False, adaptive=False), "frame"),
 ]
 
 _IDS = ["%s-s%d-%s" % (v, s, f) for v, s, _, _, f in SCENARIOS]

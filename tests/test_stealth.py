@@ -6,12 +6,15 @@ from repro.attacks.stealth import StealthCityHunter
 from repro.defenses.detector import CanaryProbeDetector, MultiSsidDetector
 from repro.dot11.frames import (
     AssocRequest,
+    AssocResponse,
     AuthRequest,
+    AuthResponse,
     ProbeRequest,
     ProbeResponse,
 )
 from repro.dot11.medium import Medium
 from repro.experiments.scenarios import ScenarioConfig, build_scenario
+from repro.faults.outages import OutageSchedule, OutageWindow
 from repro.geo.point import Point
 from repro.sim.simulation import Simulation
 
@@ -80,14 +83,46 @@ class TestBssidRotation:
         responses = _drain(sim, sniffer)
         target = responses[3]
         # The phone-side flow: auth then assoc, addressed to the alias.
-        alias_mac = target.src
-        hunter.receive_as(alias_mac, AuthRequest(sniffer.mac, alias_mac), sim.now)
-        hunter.receive_as(
-            alias_mac, AssocRequest(sniffer.mac, alias_mac, target.ssid), sim.now
-        )
+        alias = hunter.alias_for(target.ssid)
+        assert alias.mac == target.src
+        alias.receive(AuthRequest(sniffer.mac, alias.mac), sim.now)
+        alias.receive(AssocRequest(sniffer.mac, alias.mac, target.ssid), sim.now)
         rec = hunter.session.clients[sniffer.mac]
         assert rec.connected
         assert rec.hit_ssid == target.ssid
+        # Both replies come from the alias BSSID, not the hunter's own.
+        sim.run(sim.now + 1.0)
+        replies = [f for f in sniffer.received if isinstance(f, AuthResponse)]
+        replies += [f for f in sniffer.received if isinstance(f, AssocResponse)]
+        assert [f.src for f in replies] == [alias.mac, alias.mac]
+
+    def test_handshake_through_alias_dropped_during_outage(self, deployed):
+        sim, hunter, sniffer = deployed
+        hunter.install_outages(OutageSchedule((OutageWindow(10.0, 20.0),)))
+        hunter.receive(ProbeRequest(sniffer.mac), sim.now)
+        target = _drain(sim, sniffer)[3]
+        alias = hunter.alias_for(target.ssid)
+        # The radio is dead at t = 15 s: the alias shares the hunter's NIC.
+        alias.receive(AssocRequest(sniffer.mac, alias.mac, target.ssid), 15.0)
+        assert not hunter.session.clients[sniffer.mac].connected
+        assert sim.metrics.counters_named("attacker.hits") == {}
+        assert sim.metrics.counter_value(
+            "faults.outage_frames_dropped", frame="AssocRequest"
+        ) == 1
+
+    def test_burst_and_mimic_counted(self, deployed):
+        sim, hunter, sniffer = deployed
+        hunter.receive(ProbeRequest(sniffer.mac), sim.now)
+        known = hunter.db.ranked()[0].ssid
+        hunter.receive(ProbeRequest(sniffer.mac, known), sim.now)
+        assert len(_drain(sim, sniffer)) == 41
+        metrics = sim.metrics
+        assert metrics.counter_value("attacker.responses_sent") == 41
+        assert sum(metrics.counters_named("attacker.ssids_sent").values()) == 41
+        assert metrics.counter_value(
+            "attacker.ssids_sent", provenance="mimic", bucket="mimic"
+        ) == 1
+        assert metrics.histogram("attacker.burst_size").count == 2
 
     def test_alias_ignores_broadcast_probes(self, deployed):
         """Only the main station answers probes — otherwise every alias
