@@ -332,11 +332,14 @@ def main(argv=None):
     print(f"\nwrote {artifact}")
 
     if args.epoch_trace:
-        from repro.obs.epochs import epoch_trace_dir, load_epoch_dir, write_epoch_trace
+        from repro.obs.epochs import epoch_trace_doc, load_epoch_dir
+        from repro.obs.substrate import telemetry_dir, write_trace_doc
 
-        records = load_epoch_dir(epoch_trace_dir(out_dir()))
+        records = load_epoch_dir(telemetry_dir(out_dir()))
         if records:
-            trace = write_epoch_trace(records, out_dir() / "epoch_trace.json")
+            trace = write_trace_doc(
+                epoch_trace_doc(records), out_dir() / "epoch_trace.json"
+            )
             print(f"wrote {trace}")
         else:
             print("no epoch spans recorded (all traced points single-shard?)")

@@ -117,10 +117,11 @@ def _cmd_run(args: argparse.Namespace) -> int:
             f.write(session_to_json(result.session, label=args.attacker))
         print(f"summary written to {args.json}")
     if args.lineage_out:
-        from repro.obs.lineage import write_chrome_trace
+        from repro.obs.lineage import chrome_trace_doc
+        from repro.obs.substrate import write_trace_doc
 
         lineage = result.attacker.sim.lineage
-        write_chrome_trace(lineage.records(), args.lineage_out)
+        write_trace_doc(chrome_trace_doc(lineage.records()), args.lineage_out)
         print(
             f"{len(lineage)} lineage records "
             f"({lineage.dropped} dropped) written to {args.lineage_out} "
@@ -442,13 +443,10 @@ def _cmd_obs_profile(args: argparse.Namespace) -> int:
 def _cmd_obs_watch(args: argparse.Namespace) -> int:
     import time
 
-    from repro.obs.telemetry import (
-        heartbeat_dir,
-        render_watch,
-        watch_snapshot,
-    )
+    from repro.obs.substrate import telemetry_dir
+    from repro.obs.telemetry import render_watch, watch_snapshot
 
-    directory = args.dir or heartbeat_dir()
+    directory = args.dir or telemetry_dir()
     while True:
         rows = watch_snapshot(directory, stall_after_s=args.stall_after)
         print(render_watch(rows, args.stall_after))
@@ -461,13 +459,10 @@ def _cmd_obs_watch(args: argparse.Namespace) -> int:
 def _cmd_obs_top(args: argparse.Namespace) -> int:
     import time
 
-    from repro.obs.telemetry import (
-        fleet_snapshot,
-        heartbeat_dir,
-        render_top,
-    )
+    from repro.obs.substrate import telemetry_dir
+    from repro.obs.telemetry import fleet_snapshot, render_top
 
-    directory = args.dir or heartbeat_dir()
+    directory = args.dir or telemetry_dir()
     while True:
         doc = fleet_snapshot(
             directory,
@@ -487,10 +482,10 @@ def _cmd_obs_top(args: argparse.Namespace) -> int:
 
 def _cmd_obs_shard_trace(args: argparse.Namespace) -> int:
     from repro.obs.artifacts import artifact_path
-    from repro.obs.epochs import load_epoch_dir, write_epoch_trace
-    from repro.obs.telemetry import heartbeat_dir
+    from repro.obs.epochs import epoch_trace_doc, load_epoch_dir
+    from repro.obs.substrate import telemetry_dir, write_trace_doc
 
-    directory = args.dir or heartbeat_dir()
+    directory = args.dir or telemetry_dir()
     records = load_epoch_dir(directory)
     if not records:
         print(
@@ -499,7 +494,9 @@ def _cmd_obs_shard_trace(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 1
-    path = write_epoch_trace(records, args.out or artifact_path("epoch_trace"))
+    path = write_trace_doc(
+        epoch_trace_doc(records), args.out or artifact_path("epoch_trace")
+    )
     spans = sum(len(r) for r in records.values())
     print(
         f"{spans} epoch spans across {len(records)} shard(s) written to "
@@ -510,10 +507,10 @@ def _cmd_obs_shard_trace(args: argparse.Namespace) -> int:
 
 def _cmd_obs_serve_trace(args: argparse.Namespace) -> int:
     from repro.obs.artifacts import artifact_path
-    from repro.obs.reqtrace import load_reqtrace_dir, write_req_trace
-    from repro.obs.telemetry import heartbeat_dir
+    from repro.obs.reqtrace import load_reqtrace_dir, req_trace_doc
+    from repro.obs.substrate import telemetry_dir, write_trace_doc
 
-    directory = args.dir or heartbeat_dir()
+    directory = args.dir or telemetry_dir()
     records = load_reqtrace_dir(directory)
     if not records:
         print(
@@ -522,7 +519,9 @@ def _cmd_obs_serve_trace(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 1
-    path = write_req_trace(records, args.out or artifact_path("req_trace"))
+    path = write_trace_doc(
+        req_trace_doc(records), args.out or artifact_path("req_trace")
+    )
     seqs = {r["seq"] for r in records}
     print(
         f"{len(records)} request spans over {len(seqs)} event(s) "
@@ -884,12 +883,14 @@ def _cmd_serve_bench(args: argparse.Namespace) -> int:
         print(f"benchmark document written to {args.json}")
     if args.req_trace:
         from repro.obs.artifacts import artifact_path
-        from repro.obs.reqtrace import load_reqtrace_dir, write_req_trace
-        from repro.obs.telemetry import heartbeat_dir
+        from repro.obs.reqtrace import load_reqtrace_dir, req_trace_doc
+        from repro.obs.substrate import telemetry_dir, write_trace_doc
 
-        records = load_reqtrace_dir(heartbeat_dir())
+        records = load_reqtrace_dir(telemetry_dir())
         if records:
-            path = write_req_trace(records, artifact_path("req_trace"))
+            path = write_trace_doc(
+                req_trace_doc(records), artifact_path("req_trace")
+            )
             print(
                 f"{len(records)} request spans from the heaviest grid "
                 f"point written to {path} (Chrome trace-event JSON)"

@@ -99,6 +99,7 @@ from repro.obs.registry import (
     MetricsRegistry,
     merge_snapshots,
 )
+from repro.obs.substrate import read_jsonl, truthy
 from repro.obs.telemetry import maybe_heartbeat, set_current_spec
 from repro.population.groups import GroupModel
 from repro.population.pnl import PnlModel
@@ -128,7 +129,6 @@ BACKOFF_CAP_S = 30.0
 CHECKPOINT_SCHEMA = "repro.checkpoint/v1"
 
 _FALSEY = ("", "0", "false", "off", "no")
-_TRUTHY = ("1", "true", "on", "yes")
 
 
 @dataclass(frozen=True)
@@ -388,7 +388,7 @@ def resolve_checkpoint_name(name: Optional[str] = None) -> Optional[str]:
     env = os.environ.get(CHECKPOINT_ENV, "").strip()
     if env.lower() in _FALSEY:
         return None
-    if env.lower() in _TRUTHY:
+    if truthy(env):
         return "checkpoint"
     return env
 
@@ -467,17 +467,9 @@ class RunCheckpoint:
         self.restored = 0
         """Runs served from this checkpoint by the current invocation."""
 
-        if self.path.exists():
-            for line in self.path.read_text().splitlines():
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    record = json.loads(line)
-                except ValueError:
-                    continue  # truncated mid-append; the spec just re-runs
-                if record.get("schema") != CHECKPOINT_SCHEMA:
-                    continue
+        # A line truncated mid-append is skipped; its spec just re-runs.
+        for record in read_jsonl(self.path, ("schema",)):
+            if record["schema"] == CHECKPOINT_SCHEMA:
                 self._done[record["digest"]] = record["result"]
 
     @classmethod

@@ -4,7 +4,10 @@ The package gives every run three cheap, always-on artefact streams —
 a :class:`MetricsRegistry` of counters/gauges/histograms, a capped
 :class:`EventSink` of structured events, and span/timer context
 managers — plus the single artefact-directory resolution rule shared by
-the timings and metrics writers.
+the timings and metrics writers.  Every trace stream sits on the one
+substrate in :mod:`~repro.obs.substrate`: one bounded ring, one
+telemetry JSONL writer/reader with one ``.old`` rotation rule, one
+Chrome trace-event document type, and one env-flag parser.
 
 On top of those sit the opt-in deep-observability layers (see
 OBSERVABILITY.md): causal :mod:`~repro.obs.lineage` tracing with Chrome
@@ -26,12 +29,7 @@ from repro.obs.artifacts import (
     artifact_path,
     ensure_artifact_dir,
 )
-from repro.obs.events import (
-    DEFAULT_MAX_EVENTS,
-    EventSink,
-    read_jsonl,
-    write_events_jsonl,
-)
+from repro.obs.events import DEFAULT_MAX_EVENTS, EventSink
 from repro.obs.registry import (
     DEFAULT_BUCKETS,
     METRICS_SCHEMA,
@@ -45,14 +43,11 @@ from repro.obs.registry import (
 )
 from repro.obs.reqtrace import (
     REQ_TRACE_ENV,
-    REQ_TRACE_MAX_ENV,
     RequestTrace,
     load_reqtrace_dir,
     maybe_request_trace,
-    read_reqtrace_records,
     req_trace_doc,
     resolve_req_trace,
-    write_req_trace,
 )
 from repro.obs.slo import (
     SLO_SCHEMA,
@@ -74,9 +69,7 @@ from repro.obs.epochs import (
     epoch_trace_doc,
     load_epoch_dir,
     maybe_epoch_tracer,
-    read_epoch_records,
     resolve_epoch_trace,
-    write_epoch_trace,
 )
 from repro.obs.lineage import (
     LINEAGE_ENV,
@@ -85,7 +78,6 @@ from repro.obs.lineage import (
     hunt_story,
     load_chrome_trace,
     validate_chrome_trace,
-    write_chrome_trace,
 )
 from repro.obs.profiler import (
     PROFILE_ENV,
@@ -107,18 +99,21 @@ from repro.obs.prom import (
     write_prom,
 )
 from repro.obs.spans import NullSpan, Span, maybe_span, span, timer
+from repro.obs.substrate import (
+    ChromeTrace,
+    Ring,
+    TelemetryLog,
+    read_jsonl,
+    write_trace_doc,
+)
 from repro.obs.telemetry import (
     HEARTBEAT_ENV,
-    SERVE_HEARTBEAT_ENV,
     HeartbeatWriter,
     clear_heartbeats,
     fleet_snapshot,
-    heartbeat_dir,
     maybe_heartbeat,
-    read_heartbeats,
     render_top,
     render_watch,
-    resolve_serve_heartbeat_interval,
     watch_snapshot,
 )
 
@@ -131,8 +126,6 @@ __all__ = [
     "ensure_artifact_dir",
     "DEFAULT_MAX_EVENTS",
     "EventSink",
-    "read_jsonl",
-    "write_events_jsonl",
     "DEFAULT_BUCKETS",
     "METRICS_SCHEMA",
     "FixedHistogram",
@@ -143,14 +136,11 @@ __all__ = [
     "parse_key",
     "validate_metrics_doc",
     "REQ_TRACE_ENV",
-    "REQ_TRACE_MAX_ENV",
     "RequestTrace",
     "load_reqtrace_dir",
     "maybe_request_trace",
-    "read_reqtrace_records",
     "req_trace_doc",
     "resolve_req_trace",
-    "write_req_trace",
     "SLO_SCHEMA",
     "ServeSlo",
     "default_slo",
@@ -161,13 +151,17 @@ __all__ = [
     "maybe_span",
     "span",
     "timer",
+    "ChromeTrace",
+    "Ring",
+    "TelemetryLog",
+    "read_jsonl",
+    "write_trace_doc",
     "LINEAGE_ENV",
     "LineageTrace",
     "chrome_trace_doc",
     "hunt_story",
     "load_chrome_trace",
     "validate_chrome_trace",
-    "write_chrome_trace",
     "PROFILE_ENV",
     "PROFILE_SCHEMA",
     "SimProfiler",
@@ -182,9 +176,7 @@ __all__ = [
     "epoch_trace_doc",
     "load_epoch_dir",
     "maybe_epoch_tracer",
-    "read_epoch_records",
     "resolve_epoch_trace",
-    "write_epoch_trace",
     "PROM_ARTIFACT",
     "parse_prom_text",
     "prom_lines",
@@ -192,14 +184,10 @@ __all__ = [
     "validate_prom_text",
     "write_prom",
     "HEARTBEAT_ENV",
-    "SERVE_HEARTBEAT_ENV",
-    "resolve_serve_heartbeat_interval",
     "HeartbeatWriter",
     "clear_heartbeats",
     "fleet_snapshot",
-    "heartbeat_dir",
     "maybe_heartbeat",
-    "read_heartbeats",
     "render_top",
     "render_watch",
     "watch_snapshot",

@@ -9,7 +9,8 @@ records exactly that.
 
 With ``REPRO_EPOCH_TRACE`` set (truthy), every
 :class:`~repro.sim.shards.shard.ShardRuntime` owns an
-:class:`EpochTracer` that appends one JSON record per phase to
+:class:`EpochTracer` that appends one JSON record per phase, through one
+:class:`~repro.obs.substrate.TelemetryLog` opened once per run, to
 ``<artifact_dir>/telemetry/epochs-<k>.jsonl``:
 
 * wall-clock start/duration of the phase (``wall``/``wall_s``);
@@ -21,35 +22,45 @@ With ``REPRO_EPOCH_TRACE`` set (truthy), every
   counts and bytes by destination shard (``out``/``out_bytes``).
 
 Files are append-only with one writer each, exactly like the heartbeat
-files — the live aggregator (``repro obs top``) only reads.
+files — the live aggregator (``repro obs top``) only reads.  A run's
+first tracer rotates the previous run's file to ``.old``; a shard worker
+respawned after a crash appends instead, so the file keeps the
+pre-crash epochs next to the replayed ones.
 
 Determinism contract: the tracer only observes.  It never draws from an
 RNG stream, never touches the workload metrics, never schedules an
 event — golden digests are bit-identical with tracing on or off
 (asserted in ``tests/test_shard_golden.py``).
 
-Exports: :func:`epoch_trace_doc` renders the records as Chrome
-trace-event JSON with one track per shard, a span per phase, a span per
-barrier wait, and flow arrows for every cross-shard handoff batch — an
-epoch-barrier stall reads as one visibly long span in Perfetto.  That
-is the ``repro obs shard-trace`` CLI.
+Exports: :func:`epoch_trace_doc` maps the records onto the shared
+:class:`~repro.obs.substrate.ChromeTrace` document with one track per
+shard, a span per phase, a span per barrier wait, and flow arrows for
+every cross-shard handoff batch — an epoch-barrier stall reads as one
+visibly long span in Perfetto.  That is the ``repro obs shard-trace``
+CLI.
 """
 
 from __future__ import annotations
 
-import json
-import os
 import pathlib
 import time as _time
 from typing import Callable, Dict, List, Optional, Union
 
-from repro.obs.artifacts import artifact_dir
+from repro.obs.substrate import (
+    ChromeTrace,
+    TelemetryLog,
+    env_flag,
+    load_jsonl_dir,
+    telemetry_dir,
+    truthy,
+)
 
 EPOCH_TRACE_ENV = "REPRO_EPOCH_TRACE"
-_TRUTHY = ("1", "true", "on", "yes")
 
 EPOCH_FILE_PREFIX = "epochs-"
-TELEMETRY_SUBDIR = "telemetry"
+
+#: Keys every epoch record carries (foreign lines lack them).
+EPOCH_KEYS = ("epoch", "phase")
 
 #: Phases in barrier order within one epoch.
 PHASES = ("a", "b")
@@ -61,24 +72,7 @@ AUX_PHASES = ("c",)
 
 def resolve_epoch_trace(value: Optional[str] = None) -> bool:
     """Whether per-epoch barrier tracing is on (``REPRO_EPOCH_TRACE``)."""
-    if value is None:
-        value = os.environ.get(EPOCH_TRACE_ENV, "")
-    return value.strip().lower() in _TRUTHY
-
-
-def epoch_trace_dir(
-    base: Optional[Union[str, pathlib.Path]] = None,
-) -> pathlib.Path:
-    """Directory the epoch files live in (shared with heartbeats)."""
-    root = pathlib.Path(base) if base is not None else artifact_dir()
-    return root / TELEMETRY_SUBDIR
-
-
-def epoch_file(
-    shard_id: int, base: Optional[Union[str, pathlib.Path]] = None
-) -> pathlib.Path:
-    """Path of one shard's epoch-span file."""
-    return epoch_trace_dir(base) / ("%s%d.jsonl" % (EPOCH_FILE_PREFIX, shard_id))
+    return env_flag(EPOCH_TRACE_ENV) if value is None else truthy(value)
 
 
 def _record_bytes(records) -> int:
@@ -91,9 +85,9 @@ class EpochTracer:
     """Append-only per-shard epoch recorder (one instance per shard).
 
     The shard calls :meth:`record` once per phase, after the phase ran
-    and its outboxes are assembled.  The first record rotates any
-    leftover file from a previous run to ``<name>.old`` so epoch counts
-    are never inflated by stale runs.
+    and its outboxes are assembled.  The file is opened when the tracer
+    is built, rotating any leftover file from a previous run to
+    ``<name>.old`` so epoch counts are never inflated by stale runs.
     """
 
     def __init__(
@@ -107,15 +101,14 @@ class EpochTracer:
         self.shard_id = int(shard_id)
         self.shards = int(shards)
         self.epochs_total = int(epochs_total)
-        self.path = epoch_file(shard_id, base_dir)
+        self.path = telemetry_dir(base_dir) / (
+            "%s%d.jsonl" % (EPOCH_FILE_PREFIX, shard_id)
+        )
         self._clock = clock
-        self._opened = False
+        self._log = TelemetryLog(self.path)
 
-    def _open(self) -> None:
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        if self.path.exists():
-            self.path.replace(self.path.with_name(self.path.name + ".old"))
-        self._opened = True
+    def close(self) -> None:
+        self._log.close()
 
     def record(
         self,
@@ -131,8 +124,6 @@ class EpochTracer:
         the phase produced (summarised here, never retained).  ``extra``
         carries phase-specific fields (e.g. checkpoint ``bytes`` on
         ``"c"`` records) and never overrides the core keys."""
-        if not self._opened:
-            self._open()
         rec = {
             "wall": self._clock(),
             "shard": self.shard_id,
@@ -149,8 +140,7 @@ class EpochTracer:
         if extra:
             for key, value in extra.items():
                 rec.setdefault(key, value)
-        with open(self.path, "a") as fh:
-            fh.write(json.dumps(rec) + "\n")
+        self._log.write(rec)
 
 
 def maybe_epoch_tracer(
@@ -168,46 +158,12 @@ def maybe_epoch_tracer(
     return EpochTracer(shard_id, shards, epochs_total)
 
 
-# -- readers ----------------------------------------------------------------
-
-
-def read_epoch_records(path: Union[str, pathlib.Path]) -> List[dict]:
-    """All epoch records in one shard file.
-
-    Torn or partial lines (a shard killed mid-write) are skipped, the
-    same tolerance the heartbeat reader applies.
-    """
-    out: List[dict] = []
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                rec = json.loads(line)
-            except ValueError:
-                continue
-            if isinstance(rec, dict) and "epoch" in rec and "phase" in rec:
-                out.append(rec)
-    return out
-
-
 def load_epoch_dir(
     directory: Union[str, pathlib.Path],
 ) -> Dict[int, List[dict]]:
     """shard id -> epoch records for every ``epochs-<k>.jsonl`` present."""
-    directory = pathlib.Path(directory)
-    out: Dict[int, List[dict]] = {}
-    for path in sorted(directory.glob(EPOCH_FILE_PREFIX + "*.jsonl")):
-        stem = path.name[len(EPOCH_FILE_PREFIX) : -len(".jsonl")]
-        try:
-            shard_id = int(stem)
-        except ValueError:
-            continue
-        records = read_epoch_records(path)
-        if records:
-            out[shard_id] = records
-    return out
+    by_stem = load_jsonl_dir(directory, EPOCH_FILE_PREFIX, EPOCH_KEYS)
+    return {int(k): recs for k, recs in by_stem.items() if k.isdigit()}
 
 
 # -- Chrome trace-event export ----------------------------------------------
@@ -228,29 +184,11 @@ def epoch_trace_doc(records_by_shard: Dict[int, List[dict]]) -> dict:
     the receiving shard's matching span — X1 lands in the same epoch's
     phase B, X2 and migrations land in the next epoch's phase A.
     """
-    events: List[dict] = [
-        {
-            "ph": "M",
-            "ts": 0,
-            "pid": 1,
-            "tid": 0,
-            "name": "process_name",
-            "args": {"name": "repro-shards"},
-        }
-    ]
+    trace = ChromeTrace("repro-shards")
     starts: Dict[tuple, float] = {}
     t0 = None
     for shard_id, records in records_by_shard.items():
-        events.append(
-            {
-                "ph": "M",
-                "ts": 0,
-                "pid": 1,
-                "tid": shard_id,
-                "name": "thread_name",
-                "args": {"name": "shard %d" % shard_id},
-            }
-        )
+        trace.track("shard %d" % shard_id, shard_id)
         for rec in records:
             start = float(rec["wall"]) - float(rec["wall_s"])
             starts[(shard_id, int(rec["epoch"]), rec["phase"])] = start
@@ -268,87 +206,40 @@ def epoch_trace_doc(records_by_shard: Dict[int, List[dict]]) -> dict:
             epoch = int(rec["epoch"])
             phase = rec["phase"]
             start = starts[(shard_id, epoch, phase)]
-            if rec.get("barrier_s", 0.0) > 0.0:
-                events.append(
-                    {
-                        "ph": "X",
-                        "ts": ts(start - float(rec["barrier_s"])),
-                        "dur": round(float(rec["barrier_s"]) * 1e6, 1),
-                        "pid": 1,
-                        "tid": shard_id,
-                        "name": "barrier",
-                        "cat": "barrier",
-                        "args": {"epoch": epoch, "before_phase": phase},
-                    }
+            barrier_s = float(rec.get("barrier_s", 0.0))
+            if barrier_s > 0.0:
+                trace.span(
+                    shard_id, ts(start - barrier_s),
+                    round(barrier_s * 1e6, 1), "barrier", "barrier",
+                    {"epoch": epoch, "before_phase": phase},
                 )
-            events.append(
+            trace.span(
+                shard_id, ts(start), round(float(rec["wall_s"]) * 1e6, 1),
+                _span_name(rec), "phase",
                 {
-                    "ph": "X",
-                    "ts": ts(start),
-                    "dur": round(float(rec["wall_s"]) * 1e6, 1),
-                    "pid": 1,
-                    "tid": shard_id,
-                    "name": _span_name(rec),
-                    "cat": "phase",
-                    "args": {
-                        "epoch": epoch,
-                        "phase": phase,
-                        "in": rec.get("in", {}),
-                        "out": rec.get("out", {}),
-                        "out_bytes": rec.get("out_bytes", 0),
-                    },
-                }
+                    "epoch": epoch,
+                    "phase": phase,
+                    "in": rec.get("in", {}),
+                    "out": rec.get("out", {}),
+                    "out_bytes": rec.get("out_bytes", 0),
+                },
             )
             # Flow arrows: phase A feeds the same epoch's phase B on the
             # destination shard (X1); phase B feeds the next epoch's
             # phase A (X2, buffered one epoch like the protocol).
-            if phase == "a":
-                target = lambda dest: (dest, epoch, "b")  # noqa: E731
-            else:
-                target = lambda dest: (dest, epoch + 1, "a")  # noqa: E731
+            target = (epoch, "b") if phase == "a" else (epoch + 1, "a")
+            end = ts(start + float(rec["wall_s"]))
             for dest_str, count in rec.get("out", {}).items():
                 dest = int(dest_str)
-                key = target(dest)
+                key = (dest,) + target
                 if not count or key not in starts:
                     continue
                 flow_id += 1
-                end = start + float(rec["wall_s"])
-                events.append(
-                    {
-                        "ph": "s",
-                        "ts": ts(end),
-                        "pid": 1,
-                        "tid": shard_id,
-                        "id": flow_id,
-                        "name": "handoff",
-                        "cat": "handoff",
-                        "args": {"records": count, "to": dest},
-                    }
+                trace.flow(
+                    flow_id, "handoff", "handoff",
+                    (shard_id, end), (dest, ts(starts[key])),
+                    {"records": count, "to": dest},
+                    {"records": count, "from": shard_id},
                 )
-                events.append(
-                    {
-                        "ph": "f",
-                        "bp": "e",
-                        "ts": ts(starts[key]),
-                        "pid": 1,
-                        "tid": dest,
-                        "id": flow_id,
-                        "name": "handoff",
-                        "cat": "handoff",
-                        "args": {"records": count, "from": shard_id},
-                    }
-                )
-    events.sort(key=lambda e: (e["ts"], e["tid"], e["ph"]))
-    return {"traceEvents": events, "displayTimeUnit": "ms"}
+    return trace.doc(sort=True)
 
-
-def write_epoch_trace(
-    records_by_shard: Dict[int, List[dict]],
-    path: Union[str, pathlib.Path],
-) -> pathlib.Path:
-    """Write :func:`epoch_trace_doc` to ``path``; returns the path."""
-    path = pathlib.Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    doc = epoch_trace_doc(records_by_shard)
-    path.write_text(json.dumps(doc, sort_keys=True) + "\n")
-    return path

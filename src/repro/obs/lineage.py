@@ -11,10 +11,14 @@ chain itself.
 A :class:`LineageTrace` hangs off every
 :class:`~repro.sim.simulation.Simulation` (``sim.lineage``), disabled by
 default and switched on with ``REPRO_LINEAGE=1`` (or the ``lineage=``
-constructor argument).  Instrumented components — the medium, the rogue
-APs, the phones — append *records*: small dicts carrying a node id, a
-parent id, the root ("trace") id, the simulated time, the acting
-station and free-form attributes.  Causality is threaded two ways:
+constructor argument).  It is a :class:`~repro.obs.substrate.Ring`
+capped at 500,000 records unless ``REPRO_TRACE_MAX`` (the cap every
+trace ring shares) or ``max_records`` says otherwise; the oldest records
+are evicted and counted in ``dropped``.  Instrumented components — the
+medium, the rogue APs, the phones — append *records*: small dicts
+carrying a node id, a parent id, the root ("trace") id, the simulated
+time, the acting station and free-form attributes.  Causality is
+threaded two ways:
 
 * **frames** — a transmitted frame is registered under its lineage
   context by object identity, so its later delivery (and anything sent
@@ -29,26 +33,34 @@ any RNG stream, never schedules events, never touches the metrics
 registry or the event sink — so the golden-master digests are
 bit-identical with lineage off and on (asserted by the golden tests).
 
-Exports: :func:`write_chrome_trace` renders records as Chrome
-trace-event JSON (loadable in Perfetto / ``chrome://tracing``), with
-flow arrows along parent links; :func:`hunt_story` reconstructs one
-client's full hunt story — the ``repro obs lineage <mac>`` CLI.
+Exports: :func:`chrome_trace_doc` maps records onto the shared
+:class:`~repro.obs.substrate.ChromeTrace` document (loadable in Perfetto
+/ ``chrome://tracing``), with flow arrows along parent links, and
+:func:`validate_chrome_trace` is re-exported here from the substrate;
+:func:`hunt_story` reconstructs one client's full hunt story — the
+``repro obs lineage <mac>`` CLI.
 """
 
 from __future__ import annotations
 
 import json
-import os
 import pathlib
-from collections import OrderedDict, deque
+from collections import OrderedDict
 from typing import Dict, Iterable, List, Optional, Tuple, Union
 
+from repro.obs.substrate import (  # noqa: F401  (validator re-exported)
+    TRACE_EVENT_REQUIRED_KEYS,
+    ChromeTrace,
+    Ring,
+    env_flag,
+    validate_chrome_trace,
+)
+
 LINEAGE_ENV = "REPRO_LINEAGE"
-LINEAGE_MAX_ENV = "REPRO_LINEAGE_MAX"
-_TRUTHY = ("1", "true", "on", "yes")
 
 DEFAULT_MAX_RECORDS = 500_000
-"""Ring-buffer cap on retained lineage records (oldest evicted)."""
+"""Ring-buffer cap on retained lineage records (oldest evicted) when
+neither ``max_records`` nor ``REPRO_TRACE_MAX`` is given."""
 
 FRAME_MAP_CAP = 65_536
 """Bound on the frame-identity map.  A frame's context is only looked
@@ -56,29 +68,6 @@ up between its transmission and its delivery (plus the scan window a
 phone holds candidate responses), so the map only needs to cover the
 frames currently in flight — 64k is orders of magnitude above any
 simulated air."""
-
-TRACE_EVENT_REQUIRED_KEYS = ("ph", "ts", "pid", "tid", "name")
-"""Keys every exported trace event must carry (the schema contract the
-tests pin)."""
-
-
-def _env_lineage_default() -> bool:
-    return os.environ.get(LINEAGE_ENV, "").strip().lower() in _TRUTHY
-
-
-def _default_max_records() -> int:
-    value = os.environ.get(LINEAGE_MAX_ENV, "").strip()
-    if value:
-        try:
-            cap = int(value)
-        except ValueError:
-            raise ValueError(
-                "%s must be an integer, got %r" % (LINEAGE_MAX_ENV, value)
-            ) from None
-        if cap < 1:
-            raise ValueError("%s must be >= 1, got %r" % (LINEAGE_MAX_ENV, cap))
-        return cap
-    return DEFAULT_MAX_RECORDS
 
 
 Ctx = Tuple[int, int]
@@ -103,7 +92,7 @@ class _Pushed:
         self._ln.current = self._prev
 
 
-class LineageTrace:
+class LineageTrace(Ring):
     """Bounded, append-only store of causal lineage records."""
 
     def __init__(
@@ -111,16 +100,10 @@ class LineageTrace:
         enabled: Optional[bool] = None,
         max_records: Optional[int] = None,
     ):
+        super().__init__(max_records, DEFAULT_MAX_RECORDS)
         if enabled is None:
-            enabled = _env_lineage_default()
-        if max_records is None:
-            max_records = _default_max_records()
-        if max_records < 1:
-            raise ValueError("max_records must be >= 1, got %r" % max_records)
+            enabled = env_flag(LINEAGE_ENV)
         self.enabled = bool(enabled)
-        self.max_records = max_records
-        self._records: "deque[Dict[str, object]]" = deque(maxlen=max_records)
-        self.dropped = 0
         self._next_id = 1
         self.current: Optional[Ctx] = None
         self._frame_ctx: "OrderedDict[int, Ctx]" = OrderedDict()
@@ -148,9 +131,7 @@ class LineageTrace:
         }
         if attrs:
             record.update(attrs)
-        if len(self._records) == self.max_records:
-            self.dropped += 1
-        self._records.append(record)
+        self.append(record)
         return (node, trace)
 
     def event(
@@ -219,9 +200,6 @@ class LineageTrace:
 
     # -- reading ----------------------------------------------------------
 
-    def __len__(self) -> int:
-        return len(self._records)
-
     def records(self) -> List[Dict[str, object]]:
         """All retained records, oldest first (plain dicts, JSON-safe)."""
         return [dict(r) for r in self._records]
@@ -247,126 +225,26 @@ def chrome_trace_doc(
     in ``args`` so the document is also the machine-readable artefact
     the ``repro obs lineage`` CLI reconstructs stories from.
     """
-    events: List[dict] = []
-    tids: Dict[str, int] = {}
-    events.append(
-        {
-            "ph": "M",
-            "ts": 0,
-            "pid": pid,
-            "tid": 0,
-            "name": "process_name",
-            "args": {"name": process_name},
-        }
-    )
-    by_id: Dict[int, Dict[str, object]] = {}
+    trace = ChromeTrace(process_name, pid)
     records = list(records)
+    by_id = {int(rec["id"]): rec for rec in records}
     for rec in records:
-        by_id[int(rec["id"])] = rec
-    for rec in records:
-        actor = str(rec.get("actor", "?"))
-        tid = tids.get(actor)
-        if tid is None:
-            tid = tids[actor] = len(tids) + 1
-            events.append(
-                {
-                    "ph": "M",
-                    "ts": 0,
-                    "pid": pid,
-                    "tid": tid,
-                    "name": "thread_name",
-                    "args": {"name": actor},
-                }
-            )
+        tid = trace.track(str(rec.get("actor", "?")))
         ts = round(float(rec["time"]) * 1e6)
         name = str(rec["kind"])
         if "ssid" in rec:
             name = f"{name} {rec['ssid']}"
-        events.append(
-            {
-                "ph": "X",
-                "ts": ts,
-                "dur": 1,
-                "pid": pid,
-                "tid": tid,
-                "name": name,
-                "cat": str(rec["kind"]),
-                "args": {"lineage": rec},
-            }
-        )
+        trace.span(tid, ts, 1, name, str(rec["kind"]), {"lineage": rec})
         parent = rec.get("parent")
         if parent is not None and int(parent) in by_id:
             parent_rec = by_id[int(parent)]
-            parent_actor = str(parent_rec.get("actor", "?"))
-            parent_tid = tids.get(parent_actor)
-            if parent_tid is None:
-                parent_tid = tids[parent_actor] = len(tids) + 1
-                events.append(
-                    {
-                        "ph": "M",
-                        "ts": 0,
-                        "pid": pid,
-                        "tid": parent_tid,
-                        "name": "thread_name",
-                        "args": {"name": parent_actor},
-                    }
-                )
-            flow = {
-                "ph": "s",
-                "ts": round(float(parent_rec["time"]) * 1e6),
-                "pid": pid,
-                "tid": parent_tid,
-                "name": "lineage",
-                "cat": "lineage",
-                "id": int(rec["id"]),
-            }
-            events.append(flow)
-            events.append(
-                {
-                    "ph": "f",
-                    "bp": "e",
-                    "ts": ts,
-                    "pid": pid,
-                    "tid": tid,
-                    "name": "lineage",
-                    "cat": "lineage",
-                    "id": int(rec["id"]),
-                }
+            parent_tid = trace.track(str(parent_rec.get("actor", "?")))
+            parent_ts = round(float(parent_rec["time"]) * 1e6)
+            trace.flow(
+                int(rec["id"]), "lineage", "lineage",
+                (parent_tid, parent_ts), (tid, ts),
             )
-    return {
-        "schema": TRACE_SCHEMA,
-        "traceEvents": events,
-        "displayTimeUnit": "ms",
-    }
-
-
-def write_chrome_trace(
-    records: Iterable[Dict[str, object]],
-    path: Union[str, pathlib.Path],
-    pid: int = 1,
-    process_name: str = "repro",
-) -> pathlib.Path:
-    """Write :func:`chrome_trace_doc` to ``path``; returns the path."""
-    path = pathlib.Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    doc = chrome_trace_doc(records, pid=pid, process_name=process_name)
-    path.write_text(json.dumps(doc, sort_keys=True) + "\n")
-    return path
-
-
-def validate_chrome_trace(doc: dict) -> None:
-    """Raise ``ValueError`` unless ``doc`` is a valid trace-event file."""
-    events = doc.get("traceEvents")
-    if not isinstance(events, list) or not events:
-        raise ValueError("trace document has no traceEvents list")
-    for i, event in enumerate(events):
-        for key in TRACE_EVENT_REQUIRED_KEYS:
-            if key not in event:
-                raise ValueError(
-                    "traceEvents[%d] missing required key %r" % (i, key)
-                )
-        if event["ph"] == "X" and "dur" not in event:
-            raise ValueError("traceEvents[%d] complete event lacks dur" % i)
+    return trace.doc(schema=TRACE_SCHEMA)
 
 
 def load_chrome_trace(path: Union[str, pathlib.Path]) -> List[Dict[str, object]]:

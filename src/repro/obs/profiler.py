@@ -30,18 +30,12 @@ is on or off.
 from __future__ import annotations
 
 import json
-import os
 import pathlib
 from typing import Dict, Iterable, List, Optional, Union
 
 PROFILE_ENV = "REPRO_PROFILE"
-_TRUTHY = ("1", "true", "on", "yes")
 
 PROFILE_SCHEMA = "repro.profile/v1"
-
-
-def env_profile_default() -> bool:
-    return os.environ.get(PROFILE_ENV, "").strip().lower() in _TRUTHY
 
 
 class SimProfiler:
@@ -106,19 +100,27 @@ class SimProfiler:
 
     def collapsed(self, root: str = "sim") -> List[str]:
         """Collapsed-stack lines; the value is wall time in microseconds."""
-        return [
-            "%s;%s %d" % (root, r["name"], round(r["wall_s"] * 1e6))
-            for r in self.handlers()
-        ]
+        return _stack_lines(self.handlers(), root)
+
+
+def _stack_lines(rows: Iterable[dict], root: str) -> List[str]:
+    return [
+        "%s;%s %d" % (root, r["name"], round(r["wall_s"] * 1e6)) for r in rows
+    ]
+
+
+def _checked(doc: dict) -> dict:
+    """``doc`` itself, once its schema says it is a profile document."""
+    if doc.get("schema") != PROFILE_SCHEMA:
+        raise ValueError("not a %s document: %r" % (PROFILE_SCHEMA, doc.get("schema")))
+    return doc
 
 
 def merge_profiles(docs: Iterable[dict]) -> dict:
     """Merge ``repro.profile/v1`` documents from several runs into one."""
     merged: Dict[str, List[float]] = {}
     for doc in docs:
-        if doc.get("schema") != PROFILE_SCHEMA:
-            raise ValueError("not a %s document: %r" % (PROFILE_SCHEMA, doc.get("schema")))
-        for row in doc.get("handlers", []):
+        for row in _checked(doc).get("handlers", []):
             cell = merged.setdefault(row["name"], [0, 0.0, 0.0])
             cell[0] += row["calls"]
             cell[1] += row["wall_s"]
@@ -131,19 +133,12 @@ def merge_profiles(docs: Iterable[dict]) -> dict:
 
 def profile_collapsed(doc: dict, root: str = "sim") -> List[str]:
     """Collapsed-stack lines from a ``repro.profile/v1`` document."""
-    if doc.get("schema") != PROFILE_SCHEMA:
-        raise ValueError("not a %s document: %r" % (PROFILE_SCHEMA, doc.get("schema")))
-    return [
-        "%s;%s %d" % (root, row["name"], round(row["wall_s"] * 1e6))
-        for row in doc.get("handlers", [])
-    ]
+    return _stack_lines(_checked(doc).get("handlers", []), root)
 
 
 def render_hot_table(doc: dict, top: int = 15) -> str:
     """The ``repro obs profile`` terminal table: hottest handlers first."""
-    if doc.get("schema") != PROFILE_SCHEMA:
-        raise ValueError("not a %s document: %r" % (PROFILE_SCHEMA, doc.get("schema")))
-    handlers = doc.get("handlers", [])
+    handlers = _checked(doc).get("handlers", [])
     total_wall = doc.get("total_wall_s") or sum(r["wall_s"] for r in handlers) or 1.0
     lines = [
         "hot handlers (%d total, %.3f s wall, %d calls)"
@@ -177,10 +172,7 @@ def write_profile(
 
 
 def load_profile(path: Union[str, pathlib.Path]) -> dict:
-    doc = json.loads(pathlib.Path(path).read_text())
-    if doc.get("schema") != PROFILE_SCHEMA:
-        raise ValueError("not a %s document: %r" % (PROFILE_SCHEMA, doc.get("schema")))
-    return doc
+    return _checked(json.loads(pathlib.Path(path).read_text()))
 
 
 def write_collapsed(

@@ -18,45 +18,51 @@ pipeline stage for every accepted event:
   its counters.
 
 **Observe-only, bounded.**  Spans land in an in-memory ring
-(:class:`RequestTrace`, capacity ``REPRO_REQ_TRACE_MAX``, default
-200 000 records) as plain dicts stamped with ``perf_counter`` readings.
-Nothing here draws from an RNG stream or schedules work, so decision
-streams and differential-parity digests are bit-identical with tracing
-on or off — the same contract the lineage and epoch tracers honour.
-When the ring is full the *oldest* spans are dropped and counted
-(``reqtrace.dropped`` gauge): under overload you keep the most recent
-window, which is the one you are debugging.
+(:class:`RequestTrace`, a :class:`~repro.obs.substrate.Ring` capped at
+200,000 records unless ``REPRO_TRACE_MAX`` — the cap every trace ring
+shares — says otherwise) as plain dicts stamped with ``perf_counter``
+readings.  Nothing here draws from an RNG stream or schedules work, so
+decision streams and differential-parity digests are bit-identical with
+tracing on or off — the same contract the lineage and epoch tracers
+honour.  When the ring is full the *oldest* spans are dropped and
+counted (``reqtrace.dropped`` gauge): under overload you keep the most
+recent window, which is the one you are debugging.
 
-**Files and export.**  ``RankingService.finish`` flushes the ring to
-``<artifact_dir>/telemetry/reqtrace-<pid>.jsonl`` (previous file
-rotated to ``.old``, like heartbeats).  :func:`req_trace_doc` folds one
-or more such files into Chrome trace-event JSON — an ingress track
-plus one consumer track, with flow arrows following each sequence
-number from its ingress enqueue to its commit — satisfying the same
-:func:`~repro.obs.lineage.validate_chrome_trace` contract as the
-lineage and epoch exporters.  ``repro obs serve-trace`` and ``repro
-serve bench --req-trace`` drive the export.
+**Files and export.**  ``RankingService.finish`` flushes the ring
+through one :class:`~repro.obs.substrate.TelemetryLog` to
+``<artifact_dir>/telemetry/reqtrace-<pid>.jsonl`` (the previous run's
+file rotated to ``.old``).  :func:`req_trace_doc` maps one or more such
+files onto the shared :class:`~repro.obs.substrate.ChromeTrace` document
+— an ingress track plus one consumer track, with flow arrows following
+each sequence number from its ingress enqueue to its commit.
+``repro obs serve-trace`` and ``repro serve bench --req-trace`` drive
+the export.
 """
 
 from __future__ import annotations
 
-import json
 import os
 import pathlib
-from collections import deque
 from typing import Dict, List, Optional, Union
 
-from repro.obs.artifacts import artifact_dir
+from repro.obs.substrate import (
+    ChromeTrace,
+    Ring,
+    TelemetryLog,
+    env_flag,
+    load_jsonl_dir,
+    telemetry_dir,
+)
 
 REQ_TRACE_ENV = "REPRO_REQ_TRACE"
-REQ_TRACE_MAX_ENV = "REPRO_REQ_TRACE_MAX"
-_TRUTHY = ("1", "true", "on", "yes")
 
 DEFAULT_MAX_RECORDS = 200_000
 """Ring capacity: at 5 spans per probe this holds the last ~40k probes."""
 
 REQTRACE_FILE_PREFIX = "reqtrace-"
-TELEMETRY_SUBDIR = "telemetry"
+
+#: Keys every span record carries (foreign lines lack them).
+SPAN_KEYS = ("stage", "seq", "start")
 
 #: Stage names in pipeline order; only ``enqueue`` runs on ingress.
 STAGES = ("enqueue", "queue_wait", "commit_wait", "rank", "apply")
@@ -66,47 +72,18 @@ def resolve_req_trace(value: Optional[bool] = None) -> bool:
     """Is request tracing enabled?  Explicit arg wins over the env."""
     if value is not None:
         return bool(value)
-    return os.environ.get(REQ_TRACE_ENV, "").strip().lower() in _TRUTHY
+    return env_flag(REQ_TRACE_ENV)
 
 
-def resolve_req_trace_max(value: Optional[int] = None) -> int:
-    """Ring capacity: explicit arg, else ``REPRO_REQ_TRACE_MAX``."""
-    if value is None:
-        raw = os.environ.get(REQ_TRACE_MAX_ENV, "").strip()
-        if raw:
-            try:
-                value = int(raw)
-            except ValueError:
-                value = None
-    if value is None:
-        return DEFAULT_MAX_RECORDS
-    return max(1, int(value))
-
-
-def reqtrace_dir(
-    base: Optional[Union[str, pathlib.Path]] = None,
-) -> pathlib.Path:
-    """Directory request-trace files live in (same as heartbeats)."""
-    root = pathlib.Path(base) if base is not None else artifact_dir()
-    return root / TELEMETRY_SUBDIR
-
-
-class RequestTrace:
+class RequestTrace(Ring):
     """Bounded in-memory ring of per-stage spans for one service.
 
     ``record`` is called from the serving hot path, so it does the
-    minimum: build one plain dict, append to a ``deque`` with
-    ``maxlen``.  Eviction of the oldest record is counted in
-    ``dropped`` so the export can say how much history was lost.
+    minimum: build one plain dict and append it to the ring.
     """
 
     def __init__(self, max_records: Optional[int] = None):
-        self.max_records = resolve_req_trace_max(max_records)
-        self._records: deque = deque(maxlen=self.max_records)
-        self.dropped = 0
-
-    def __len__(self) -> int:
-        return len(self._records)
+        super().__init__(max_records, DEFAULT_MAX_RECORDS)
 
     def record(
         self,
@@ -117,8 +94,6 @@ class RequestTrace:
         **attrs: object,
     ) -> None:
         """Append one stage span (``start``/``dur`` in perf-counter s)."""
-        if len(self._records) == self.max_records:
-            self.dropped += 1
         rec: Dict[str, object] = {
             "stage": stage,
             "seq": int(seq),
@@ -128,32 +103,18 @@ class RequestTrace:
         for key, value in attrs.items():
             if value is not None:
                 rec[key] = value
-        self._records.append(rec)
-
-    def records(self) -> List[dict]:
-        """The retained spans, oldest first."""
-        return list(self._records)
+        self.append(rec)
 
     def flush(
         self, base: Optional[Union[str, pathlib.Path]] = None
     ) -> pathlib.Path:
-        """Write the retained spans to ``reqtrace-<pid>.jsonl``.
-
-        The previous file (an earlier run by the same pid) is rotated to
-        ``.old`` first, mirroring heartbeat rotation, so readers only
-        ever see the current run.
-        """
-        directory = reqtrace_dir(base)
-        directory.mkdir(parents=True, exist_ok=True)
-        path = directory / ("%s%d.jsonl" % (REQTRACE_FILE_PREFIX, os.getpid()))
-        if path.exists():
-            try:
-                path.replace(path.with_name(path.name + ".old"))
-            except OSError:
-                pass
-        with open(path, "w") as fh:
-            for rec in self._records:
-                fh.write(json.dumps(rec) + "\n")
+        """Write the retained spans to ``reqtrace-<pid>.jsonl`` (the
+        previous run's file is rotated to ``.old``)."""
+        path = telemetry_dir(base) / (
+            "%s%d.jsonl" % (REQTRACE_FILE_PREFIX, os.getpid())
+        )
+        with TelemetryLog(path) as log:
+            log.write(*self._records)
         return path
 
 
@@ -168,44 +129,11 @@ def maybe_request_trace(
     return RequestTrace(max_records)
 
 
-# -- readers ----------------------------------------------------------------
-
-
-def read_reqtrace_records(path: Union[str, pathlib.Path]) -> List[dict]:
-    """All spans in one reqtrace file (torn/malformed lines skipped)."""
-    out: List[dict] = []
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                rec = json.loads(line)
-            except ValueError:
-                continue  # torn final line of a killed service
-            if (
-                isinstance(rec, dict)
-                and "stage" in rec
-                and "seq" in rec
-                and "start" in rec
-            ):
-                out.append(rec)
-    return out
-
-
-def load_reqtrace_dir(
-    directory: Union[str, pathlib.Path],
-) -> List[dict]:
-    """Every span in every ``reqtrace-*.jsonl`` under ``directory``.
-
-    Files are read in sorted-name order; spans keep file order (the
-    exporter sorts by timestamp anyway).
-    """
-    directory = pathlib.Path(directory)
-    out: List[dict] = []
-    for path in sorted(directory.glob(REQTRACE_FILE_PREFIX + "*.jsonl")):
-        out.extend(read_reqtrace_records(path))
-    return out
+def load_reqtrace_dir(directory: Union[str, pathlib.Path]) -> List[dict]:
+    """Every span in every ``reqtrace-*.jsonl`` under ``directory``, in
+    sorted-file order (the exporter sorts by timestamp anyway)."""
+    by_file = load_jsonl_dir(directory, REQTRACE_FILE_PREFIX, SPAN_KEYS)
+    return [rec for records in by_file.values() for rec in records]
 
 
 # -- Chrome trace-event export ----------------------------------------------
@@ -227,38 +155,13 @@ def req_trace_doc(records: List[dict]) -> dict:
     One ``X`` (complete) event per span on the ingress track (tid 0) or
     the consumer track (tid 1); an ``s``/``f`` flow-arrow pair per
     sequence number connecting the ingress ``enqueue`` span to its
-    ``rank`` commit span.  Passes
-    :func:`~repro.obs.lineage.validate_chrome_trace`; open in Perfetto /
-    ``chrome://tracing``.
+    ``rank`` commit span.  Open in Perfetto / ``chrome://tracing``.
     """
     if not records:
         raise ValueError("no request spans to export")
-    events: List[Dict[str, object]] = [
-        {
-            "ph": "M",
-            "ts": 0,
-            "pid": 0,
-            "tid": 0,
-            "name": "process_name",
-            "args": {"name": "repro-serve"},
-        },
-        {
-            "ph": "M",
-            "ts": 0,
-            "pid": 0,
-            "tid": INGRESS_TID,
-            "name": "thread_name",
-            "args": {"name": "ingress"},
-        },
-        {
-            "ph": "M",
-            "ts": 0,
-            "pid": 0,
-            "tid": CONSUMER_TID,
-            "name": "thread_name",
-            "args": {"name": "consumer"},
-        },
-    ]
+    trace = ChromeTrace("repro-serve", pid=0)
+    trace.track("ingress", INGRESS_TID)
+    trace.track("consumer", CONSUMER_TID)
     t0 = min(float(r["start"]) for r in records)
 
     def ts(start: float) -> float:
@@ -277,56 +180,19 @@ def req_trace_doc(records: List[dict]) -> dict:
         for key in ("mac", "etype", "kind"):
             if rec.get(key) is not None:
                 args[key] = rec[key]
-        events.append(
-            {
-                "ph": "X",
-                "ts": ts(float(rec["start"])),
-                "dur": round(float(rec.get("dur", 0.0)) * 1e6, 1),
-                "pid": 0,
-                "tid": _span_tid(rec),
-                "name": stage,
-                "cat": "serve",
-                "args": args,
-            }
+        dur = round(float(rec.get("dur", 0.0)) * 1e6, 1)
+        trace.span(
+            _span_tid(rec), ts(float(rec["start"])), dur, stage, "serve", args
         )
     # Flow arrows: ingress enqueue -> that sequence's commit.
-    flow_id = 0
-    for seq in sorted(set(enqueue_by_seq) & set(commit_by_seq)):
+    common = sorted(set(enqueue_by_seq) & set(commit_by_seq))
+    for flow_id, seq in enumerate(common, 1):
         enq, commit = enqueue_by_seq[seq], commit_by_seq[seq]
-        flow_id += 1
-        events.append(
-            {
-                "ph": "s",
-                "ts": ts(float(enq["start"]) + float(enq.get("dur", 0.0))),
-                "pid": 0,
-                "tid": _span_tid(enq),
-                "name": "probe",
-                "cat": "serve.flow",
-                "id": flow_id,
-            }
+        enq_end = float(enq["start"]) + float(enq.get("dur", 0.0))
+        trace.flow(
+            flow_id, "probe", "serve.flow",
+            (_span_tid(enq), ts(enq_end)),
+            (_span_tid(commit), ts(float(commit["start"]))),
         )
-        events.append(
-            {
-                "ph": "f",
-                "bp": "e",
-                "ts": ts(float(commit["start"])),
-                "pid": 0,
-                "tid": _span_tid(commit),
-                "name": "probe",
-                "cat": "serve.flow",
-                "id": flow_id,
-            }
-        )
-    events.sort(key=lambda e: (e["ts"], e["tid"], e["ph"]))
-    return {"traceEvents": events, "displayTimeUnit": "ms"}
+    return trace.doc(sort=True)
 
-
-def write_req_trace(
-    records: List[dict], path: Union[str, pathlib.Path]
-) -> pathlib.Path:
-    """Export spans as a Chrome trace file; returns the path."""
-    doc = req_trace_doc(records)
-    path = pathlib.Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(doc))
-    return path

@@ -1,30 +1,42 @@
-"""Live executor telemetry: worker heartbeats and the stall watcher.
+"""Live telemetry: worker, shard and service heartbeats, the stall
+watcher and the fleet aggregator.
 
-PR 3 gave the executor a kill switch (``REPRO_SPEC_TIMEOUT_S``); this
-module gives it *visibility before the kill*.  When ``REPRO_HEARTBEAT``
-is set, every worker process in :mod:`repro.experiments.parallel`
-appends heartbeat records to its own JSONL file under
-``<artifact_dir>/telemetry/worker-<pid>.jsonl`` while a spec runs:
-spec id, wall-clock timestamp, simulated-time fraction, and hits so far.
-One writer per process and append-only files mean no cross-process
-locking — the watcher only ever reads.
+When ``REPRO_HEARTBEAT`` is set, every worker process in
+:mod:`repro.experiments.parallel` appends heartbeat records to its own
+JSONL file under ``<artifact_dir>/telemetry/worker-<pid>.jsonl`` while a
+spec runs: spec id, wall-clock timestamp, simulated-time fraction, and
+hits so far.  The same knob arms shard heartbeats (``shard-<k>.jsonl``,
+carrying ``epoch``/``epochs`` progress) and the
+:class:`~repro.serve.service.RankingService` vitals
+(``serve-<pid>.jsonl``).  One writer per file and append-only files mean
+no cross-process locking — the watcher only ever reads.
 
-``repro obs watch`` tails those files and renders a live table; a
-worker whose newest heartbeat is older than ``--stall-after`` seconds
+Every telemetry file — heartbeats, ``epochs-<k>.jsonl`` from
+:mod:`repro.obs.epochs`, ``reqtrace-<pid>.jsonl`` from
+:mod:`repro.obs.reqtrace` and the ``shardops-events.jsonl`` anomaly log —
+lives in :func:`~repro.obs.substrate.telemetry_dir`, is written through
+one :class:`~repro.obs.substrate.TelemetryLog` and read back by one
+torn-line-tolerant :func:`~repro.obs.substrate.read_jsonl`.  Rotation
+rule: a writer opened at the start of a run moves the previous run's
+file to ``<name>.old`` (which no reader globs); a shard worker respawned
+after a crash appends instead, so the run's pre-crash records survive;
+the anomaly log only ever appends.
+
+``repro obs watch`` tails the heartbeat files and renders a live table;
+a worker whose newest heartbeat is older than ``--stall-after`` seconds
 (and whose file does not end in a ``done`` record) is flagged as
-stalled.  Sharded runs heartbeat per *shard* (``shard-<k>.jsonl``) and
-carry epoch progress (``epoch``/``epochs`` fields), so a shard that
-keeps heartbeating while completing zero epochs past the stall
-threshold is flagged too.  ``--once`` prints a single snapshot and
-exits non-zero when anything is stalled, which is what the tests drive.
+stalled, and so is a shard that keeps heartbeating while completing
+zero epochs past the stall threshold.  ``--once`` prints a single
+snapshot and exits non-zero when anything is stalled, which is what the
+tests drive.
 
 On top of the watcher sits the fleet aggregator
 (:func:`fleet_snapshot`, the ``repro obs top`` CLI): it folds worker
-heartbeats, shard heartbeats and the per-epoch barrier records of
-:mod:`repro.obs.epochs` into one health document with derived signals —
-straggler ratio (slowest/median shard phase time), handoff load
-imbalance across the stripes, and epochs/sec throughput — and a
-``healthy`` verdict scripts and CI can key off.
+heartbeats, shard heartbeats and the per-epoch barrier records into one
+health document with derived signals — straggler ratio (slowest/median
+shard phase time), handoff load imbalance across the stripes, and
+epochs/sec throughput — and a ``healthy`` verdict scripts and CI can key
+off.
 
 Heartbeats are sampled on a wall-clock cadence by a daemon thread — the
 simulation itself is never touched, so golden digests are identical
@@ -33,24 +45,27 @@ with heartbeats on or off.
 
 from __future__ import annotations
 
-import json
 import os
 import pathlib
+import statistics
 import threading
 import time as _time
 from contextlib import nullcontext
 from typing import Callable, ContextManager, List, Optional, Union
 
-from repro.obs.artifacts import artifact_dir
+from repro.obs.substrate import (
+    TelemetryLog,
+    load_jsonl_dir,
+    read_jsonl,
+    telemetry_dir,
+    truthy,
+)
 
 HEARTBEAT_ENV = "REPRO_HEARTBEAT"
-SERVE_HEARTBEAT_ENV = "REPRO_SERVE_HEARTBEAT"
-_TRUTHY = ("1", "true", "on", "yes")
 
 DEFAULT_INTERVAL_S = 5.0
 DEFAULT_STALL_AFTER_S = 60.0
 DEFAULT_SHED_THRESHOLD = 0.05
-TELEMETRY_SUBDIR = "telemetry"
 
 #: Anomaly events of the sharded engine (crash / respawn / kill / ...).
 #: Written only when something goes wrong — clean runs never create it.
@@ -68,40 +83,16 @@ def resolve_heartbeat_interval(value: Optional[str] = None) -> Optional[float]:
     """
     if value is None:
         value = os.environ.get(HEARTBEAT_ENV, "")
-    value = value.strip().lower()
+    value = value.strip()
     if not value:
         return None
-    if value in _TRUTHY:
+    if truthy(value):
         return DEFAULT_INTERVAL_S
     try:
         interval = float(value)
     except ValueError:
         return None
     return interval if interval > 0 else None
-
-
-def resolve_serve_heartbeat_interval(
-    value: Optional[str] = None,
-) -> Optional[float]:
-    """Serving-heartbeat interval in seconds, or None when off.
-
-    ``REPRO_SERVE_HEARTBEAT`` takes the same grammar as
-    ``REPRO_HEARTBEAT`` (truthy flag for the 5 s default, or a number
-    of seconds) but gates the :class:`~repro.serve.service.RankingService`
-    heartbeats separately — a batch run with executor heartbeats on
-    should not suddenly grow serve files, and vice versa.
-    """
-    if value is None:
-        value = os.environ.get(SERVE_HEARTBEAT_ENV, "")
-    if not value.strip():
-        return None
-    return resolve_heartbeat_interval(value)
-
-
-def heartbeat_dir(base: Optional[Union[str, pathlib.Path]] = None) -> pathlib.Path:
-    """Directory heartbeat files live in (under the artefact dir)."""
-    root = pathlib.Path(base) if base is not None else artifact_dir()
-    return root / TELEMETRY_SUBDIR
 
 
 class HeartbeatWriter:
@@ -140,7 +131,8 @@ class HeartbeatWriter:
         # pass ``shard-<k>`` so inline shards get distinct files too.
         if file_stem is None:
             file_stem = "worker-%d" % os.getpid()
-        self.path = heartbeat_dir(base_dir) / (file_stem + ".jsonl")
+        self.path = telemetry_dir(base_dir) / (file_stem + ".jsonl")
+        self._log: Optional[TelemetryLog] = None
         self._stop = threading.Event()
         self._thread: Optional[threading.Thread] = None
         self._seq = 0
@@ -172,8 +164,7 @@ class HeartbeatWriter:
             except RuntimeError:
                 pass  # same torn-read tolerance as the progress callable
         self._seq += 1
-        with open(self.path, "a") as fh:
-            fh.write(json.dumps(record) + "\n")
+        self._log.write(record)
 
     def _loop(self) -> None:
         while not self._stop.wait(self.interval_s):
@@ -182,17 +173,10 @@ class HeartbeatWriter:
     # -- context manager --------------------------------------------------
 
     def __enter__(self) -> "HeartbeatWriter":
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        # Rotation on re-entry: a worker process (or inline shard stem)
-        # starting a new spec moves its previous file aside so the
-        # watcher's row — fractions, beat counts, done flags — only ever
-        # describes the *current* run.  ``.old`` does not match the
-        # watcher's ``*.jsonl`` globs.
-        if self.path.exists():
-            try:
-                self.path.replace(self.path.with_name(self.path.name + ".old"))
-            except OSError:
-                pass
+        # A worker process (or inline shard stem) starting a new spec
+        # rotates its previous file aside, so the watcher's row only
+        # ever describes the *current* run.
+        self._log = TelemetryLog(self.path)
         self._write()
         self._thread = threading.Thread(
             target=self._loop, name="repro-heartbeat", daemon=True
@@ -205,6 +189,7 @@ class HeartbeatWriter:
         if self._thread is not None:
             self._thread.join(timeout=self.interval_s + 1.0)
         self._write(done=True)
+        self._log.close()
 
 
 _current_spec_label: Optional[str] = None
@@ -221,10 +206,6 @@ def set_current_spec(label: Optional[str]) -> None:
     _current_spec_label = label
 
 
-def current_spec_label() -> Optional[str]:
-    return _current_spec_label
-
-
 def maybe_heartbeat(
     label: Optional[str],
     duration_s: float,
@@ -238,7 +219,7 @@ def maybe_heartbeat(
     if interval is None:
         return nullcontext()
     if label is None:
-        label = current_spec_label() or "?"
+        label = _current_spec_label or "?"
     return HeartbeatWriter(
         label,
         duration_s,
@@ -256,7 +237,7 @@ def ops_events_path(
     base: Optional[Union[str, pathlib.Path]] = None,
 ) -> pathlib.Path:
     """Path of the shard-ops anomaly event file."""
-    return heartbeat_dir(base) / OPS_EVENTS_FILE
+    return telemetry_dir(base) / OPS_EVENTS_FILE
 
 
 def append_ops_event(
@@ -270,46 +251,25 @@ def append_ops_event(
     Called only when something went wrong, so a clean run creates no
     telemetry directory at all — heartbeats-off runs stay file-free.
     """
-    path = ops_events_path(base)
-    path.parent.mkdir(parents=True, exist_ok=True)
     record = {"wall": clock(), "kind": kind}
     record.update(fields)
-    with open(path, "a") as fh:
-        fh.write(json.dumps(record) + "\n")
+    with TelemetryLog(ops_events_path(base), rotate=False) as log:
+        log.write(record)
 
 
 def read_ops_events(path: Union[str, pathlib.Path]) -> List[dict]:
     """All ops events in one file ([] when absent; torn lines skipped)."""
-    path = pathlib.Path(path)
-    if not path.exists():
-        return []
-    return [rec for rec in read_heartbeats(path) if "kind" in rec]
+    return read_jsonl(path, ("kind",))
 
 
 # -- the watcher ------------------------------------------------------------
-
-
-def read_heartbeats(path: Union[str, pathlib.Path]) -> List[dict]:
-    """All heartbeat records in one worker file (bad lines skipped)."""
-    out: List[dict] = []
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                rec = json.loads(line)
-            except ValueError:
-                continue  # torn final line of a crashed worker
-            if isinstance(rec, dict):
-                out.append(rec)
-    return out
 
 
 def watch_snapshot(
     directory: Union[str, pathlib.Path],
     stall_after_s: float = DEFAULT_STALL_AFTER_S,
     now: Optional[float] = None,
+    shed_threshold: float = DEFAULT_SHED_THRESHOLD,
 ) -> List[dict]:
     """One row per worker file: latest progress plus stall status.
 
@@ -319,22 +279,20 @@ def watch_snapshot(
     the shard runtimes) and are stalled when they have completed *zero*
     epochs although their first heartbeat is older than the threshold —
     a shard can heartbeat forever while wedged before its first
-    barrier.  Pure function of the files and ``now`` — tests pass a
-    frozen ``now``.
+    barrier.  Serve rows are ``overloaded`` when their shed fraction
+    exceeds ``shed_threshold`` or their queue is full.  Pure function of
+    the files and ``now`` — tests pass a frozen ``now``.
     """
-    directory = pathlib.Path(directory)
     if now is None:
         now = _time.time()
     rows: List[dict] = []
-    paths = sorted(
-        list(directory.glob("worker-*.jsonl"))
-        + list(directory.glob("shard-*.jsonl"))
-        + list(directory.glob("serve-*.jsonl"))
-    )
-    for path in paths:
-        records = read_heartbeats(path)
-        if not records:
-            continue
+    # Prefixes in name order, so rows come out sorted by file name.
+    files = [
+        (prefix + stem + ".jsonl", records)
+        for prefix in ("serve-", "shard-", "worker-")
+        for stem, records in load_jsonl_dir(directory, prefix).items()
+    ]
+    for name, records in files:
         last = records[-1]
         age = max(0.0, now - float(last.get("wall", now)))
         done = bool(last.get("done"))
@@ -345,7 +303,7 @@ def watch_snapshot(
             first_age = max(0.0, now - float(records[0].get("wall", now)))
             stalled = stalled or first_age > stall_after_s
         row = {
-            "file": path.name,
+            "file": name,
             "pid": last.get("pid"),
             "spec": last.get("spec"),
             "sim_time": last.get("sim_time"),
@@ -358,14 +316,14 @@ def watch_snapshot(
             "done": done,
             "stalled": stalled,
         }
-        if path.name.startswith("serve-"):
+        if name.startswith("serve-"):
             row["kind"] = "serve"
             for key in SERVE_EXTRA_KEYS:
                 row[key] = last.get(key)
             shed_fraction = last.get("shed_fraction") or 0.0
             depth, cap = last.get("queue_depth"), last.get("queue_max")
             row["overloaded"] = (not done) and (
-                shed_fraction > DEFAULT_SHED_THRESHOLD
+                shed_fraction > shed_threshold
                 or (depth is not None and cap and int(depth) >= int(cap))
             )
             # A service can heartbeat forever while its consumer is
@@ -414,6 +372,20 @@ def _epoch_cell(row: dict) -> str:
     return "%d/%d" % (epoch, epochs) if epochs else str(epoch)
 
 
+def _status(row: dict, stall_after_s: float) -> str:
+    """A row's status cell; its first word is the bare verdict."""
+    if row["done"]:
+        return "done"
+    if row["stalled"]:
+        return "STALLED (silent > %.0fs)" % stall_after_s
+    if row.get("overloaded"):
+        shed = 100.0 * (row.get("shed_fraction") or 0.0)
+        return "OVERLOADED (shed %.1f%%)" % shed
+    if row.get("recovering"):
+        return "recovering"
+    return "serving" if row.get("kind") == "serve" else "running"
+
+
 def render_watch(rows: List[dict], stall_after_s: float) -> str:
     """The ``repro obs watch`` table (workers and shards, uniformly)."""
     if not rows:
@@ -428,25 +400,11 @@ def render_watch(rows: List[dict], stall_after_s: float) -> str:
         spec = str(row.get("spec") or "?")
         if len(spec) > 34:
             spec = spec[:31] + "..."
-        if row["done"]:
-            status = "done"
-        elif row["stalled"]:
-            status = "STALLED (silent > %.0fs)" % stall_after_s
-        elif row.get("overloaded"):
-            status = "OVERLOADED (shed %.1f%%)" % (
-                100.0 * (row.get("shed_fraction") or 0.0)
-            )
-        elif row.get("recovering"):
-            status = "recovering"
-        elif row.get("kind") == "serve":
-            status = "serving"
-        else:
-            status = "running"
         lines.append(
             f"{row['file']:<22} {spec:<34} {progress:>8} "
             f"{_epoch_cell(row):>9} "
             f"{row.get('hits', 0):>6} {row['beats']:>6} {row['age_s']:>7.1f}  "
-            f"{status}"
+            f"{_status(row, stall_after_s)}"
         )
     stalled = sum(1 for r in rows if r["stalled"])
     if stalled:
@@ -458,19 +416,10 @@ def clear_heartbeats(
     base: Optional[Union[str, pathlib.Path]] = None,
 ) -> None:
     """Remove stale worker files before a new batch starts."""
-    directory = heartbeat_dir(base)
+    directory = telemetry_dir(base)
     if not directory.is_dir():
         return
-    patterns = (
-        "worker-*.jsonl",
-        "shard-*.jsonl",
-        "serve-*.jsonl",
-        "reqtrace-*.jsonl",
-        "epochs-*.jsonl",
-        OPS_EVENTS_FILE,
-        "*.jsonl.old",
-    )
-    for pattern in patterns:
+    for pattern in ("*.jsonl", "*.jsonl.old"):
         for path in directory.glob(pattern):
             try:
                 path.unlink()
@@ -555,18 +504,10 @@ def fleet_snapshot(
     directory = pathlib.Path(directory)
     if now is None:
         now = _time.time()
-    rows = watch_snapshot(directory, stall_after_s=stall_after_s, now=now)
+    rows = watch_snapshot(directory, stall_after_s, now, shed_threshold)
     workers = [r for r in rows if r["file"].startswith("worker-")]
     shards = [r for r in rows if r["file"].startswith("shard-")]
     services = [r for r in rows if r["file"].startswith("serve-")]
-    for row in services:
-        shed_fraction = row.get("shed_fraction") or 0.0
-        depth, cap = row.get("queue_depth"), row.get("queue_max")
-        overloaded = (not row["done"]) and (
-            shed_fraction > shed_threshold
-            or (depth is not None and cap and int(depth) >= int(cap))
-        )
-        row["overloaded"] = overloaded
     epoch_stats = {
         shard_id: _shard_epoch_stats(records, window)
         for shard_id, records in load_epoch_dir(directory).items()
@@ -620,21 +561,13 @@ def fleet_snapshot(
         for s in epoch_stats.values()
         if s["phase_wall_mean_s"] > 0
     )
-    if len(phase_means) >= 2:
-        mid = len(phase_means) // 2
-        if len(phase_means) % 2:
-            median = phase_means[mid]
-        else:
-            # True median: the upper-middle element would make the ratio
-            # identically 1.0 at two shards and mute the signal.
-            median = 0.5 * (phase_means[mid - 1] + phase_means[mid])
-        if median > 0:
-            straggler_ratio = phase_means[-1] / median
-            if straggler_ratio > straggler_threshold:
-                problems.append(
-                    "straggler ratio %.2f exceeds %.2f"
-                    % (straggler_ratio, straggler_threshold)
-                )
+    if len(phase_means) >= 2:  # all positive, so the median is too
+        straggler_ratio = phase_means[-1] / statistics.median(phase_means)
+        if straggler_ratio > straggler_threshold:
+            problems.append(
+                "straggler ratio %.2f exceeds %.2f"
+                % (straggler_ratio, straggler_threshold)
+            )
 
     handoff_imbalance = None
     volumes = [s["handoff_out_records"] for s in epoch_stats.values()]
@@ -734,14 +667,7 @@ def render_top(doc: dict) -> str:
             p50, p99 = row.get("p50_us"), row.get("p99_us")
             p50 = "%.1f" % p50 if p50 is not None else "-"
             p99 = "%.1f" % p99 if p99 is not None else "-"
-            if row["done"]:
-                verdict = "done"
-            elif row["stalled"]:
-                verdict = "STALLED"
-            elif row.get("overloaded"):
-                verdict = "OVERLOADED"
-            else:
-                verdict = "serving"
+            verdict = _status(row, doc["stall_after_s"]).split()[0]
             lines.append(
                 f"{row['file']:<22} {rate_cell:>9} {queue_cell:>11} "
                 f"{shed_cell:>7} "

@@ -51,10 +51,7 @@ from repro.obs.registry import (
     estimate_percentile,
 )
 from repro.obs.reqtrace import maybe_request_trace
-from repro.obs.telemetry import (
-    HeartbeatWriter,
-    resolve_serve_heartbeat_interval,
-)
+from repro.obs.telemetry import HeartbeatWriter, resolve_heartbeat_interval
 from repro.serve.core import RankingCore
 from repro.serve.events import BurstDecision, Event, FeedbackEvent, ProbeEvent
 
@@ -127,7 +124,7 @@ class RankingService:
         self._consumer = asyncio.get_running_loop().create_task(
             self._consume(queue)
         )
-        interval = resolve_serve_heartbeat_interval()
+        interval = resolve_heartbeat_interval()
         if interval is not None and self._heartbeat is None:
             self._heartbeat = HeartbeatWriter(
                 "serve",

@@ -77,6 +77,7 @@ from repro.faults.shards import (
     target_shard,
 )
 from repro.obs.registry import MetricsRegistry, merge_snapshots
+from repro.obs.substrate import continue_run_files
 from repro.obs.telemetry import append_ops_event, maybe_heartbeat
 from repro.sim.clock import epoch_schedule
 from repro.sim.shards import handoff
@@ -428,6 +429,9 @@ def _shard_worker(
     ``restore_path`` rolls the fresh runtime back to a checkpoint
     barrier before the first command.
     """
+    # A respawn continues this run's telemetry files (heartbeats, epoch
+    # spans): append to them rather than rotating the pre-crash records.
+    continue_run_files(incarnation > 0)
     try:
         runtime = ShardRuntime(
             scenario,

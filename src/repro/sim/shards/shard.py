@@ -482,6 +482,8 @@ class ShardRuntime:
 
     def finalize(self, collect_states: bool = True) -> dict:
         """Close out the run: totals, gauges, and the picklable result."""
+        if self.tracer is not None:
+            self.tracer.close()
         batch = self.walkers
         probed = sum(1 for i in self.owned if batch.probes[i] > 0)
         connected = sum(1 for i in self.owned if batch.connected[i])

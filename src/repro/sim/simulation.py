@@ -27,14 +27,14 @@ scheduling or metrics, so golden digests are identical on or off):
 
 from __future__ import annotations
 
-import os
 from typing import Any, Callable, List, Optional
 
 from repro.obs.events import EventSink
 from repro.obs.lineage import LineageTrace
-from repro.obs.profiler import SimProfiler, env_profile_default
+from repro.obs.profiler import PROFILE_ENV, SimProfiler
 from repro.obs.registry import MetricsRegistry
 from repro.obs.spans import span
+from repro.obs.substrate import env_flag
 from repro.sim.clock import Clock
 from repro.sim.events import EventHandle
 from repro.sim.scheduler import Scheduler
@@ -42,11 +42,6 @@ from repro.sim.tracing import Trace
 from repro.util.rng import RngRegistry
 
 TRACE_ENV = "REPRO_TRACE"
-_TRUTHY = ("1", "true", "on", "yes")
-
-
-def _env_trace_default() -> bool:
-    return os.environ.get(TRACE_ENV, "").strip().lower() in _TRUTHY
 
 
 class Simulation:
@@ -65,13 +60,13 @@ class Simulation:
         self.clock = Clock()
         self.scheduler = Scheduler(self.clock)
         if trace is None:
-            trace = _env_trace_default()
+            trace = env_flag(TRACE_ENV)
         self.trace = Trace(enabled=trace)
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.events = events if events is not None else EventSink()
         self.lineage = LineageTrace(enabled=lineage)
         if profile is None:
-            profile = env_profile_default()
+            profile = env_flag(PROFILE_ENV)
         if profile:
             self.scheduler.profiler = SimProfiler()
         self._entities: List[Any] = []
@@ -147,7 +142,7 @@ class Simulation:
         self.metrics.gauge_set("trace.cap", self.trace.max_records)
         self.metrics.gauge_set("events.buffered", len(self.events))
         self.metrics.gauge_set("events.dropped", self.events.dropped)
-        self.metrics.gauge_set("events.cap", self.events.max_events)
+        self.metrics.gauge_set("events.cap", self.events.max_records)
 
     def emit(self, kind: str, subject: str, detail: str = "") -> None:
         """Trace helper stamped with the current time."""

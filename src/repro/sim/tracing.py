@@ -1,40 +1,24 @@
 """Structured trace of simulation happenings.
 
 Entities append :class:`TraceRecord` rows (time, kind, subject, detail);
-tests and the analysis layer consume them.  The trace is a *ring
-buffer*: once ``max_records`` rows are held, the oldest fall off and are
-tallied in :attr:`Trace.dropped`, so tracing can stay enabled even for
-the large Fig. 5 sweeps (which previously required switching it off to
-avoid holding millions of rows).
+tests and the analysis layer consume them.  The trace sits on the shared
+:class:`~repro.obs.substrate.Ring`: once ``max_records`` rows are held
+(default 1,000,000, or ``REPRO_TRACE_MAX`` — the cap every trace ring
+shares), the oldest fall off and are tallied in :attr:`Trace.dropped`,
+so tracing can stay enabled even for the large Fig. 5 sweeps.
 """
 
 from __future__ import annotations
 
-import os
-from collections import Counter, deque
+from collections import Counter
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional
+from typing import Dict, List, Optional
+
+from repro.obs.substrate import Ring
 
 DEFAULT_MAX_RECORDS = 1_000_000
 """Generous default cap — a 30-minute canteen run emits a few thousand
 rows, so only the multi-hour sweep grids ever approach it."""
-
-TRACE_MAX_ENV = "REPRO_TRACE_MAX"
-
-
-def _default_max_records() -> int:
-    value = os.environ.get(TRACE_MAX_ENV, "").strip()
-    if value:
-        try:
-            cap = int(value)
-        except ValueError:
-            raise ValueError(
-                "%s must be an integer, got %r" % (TRACE_MAX_ENV, value)
-            ) from None
-        if cap < 1:
-            raise ValueError("%s must be >= 1, got %r" % (TRACE_MAX_ENV, cap))
-        return cap
-    return DEFAULT_MAX_RECORDS
 
 
 @dataclass(frozen=True)
@@ -47,36 +31,22 @@ class TraceRecord:
     detail: str = ""
 
 
-class Trace:
+class Trace(Ring):
     """Bounded in-memory trace with simple filtering.
 
     The pre-ring API (``emit`` / ``of_kind`` / ``counts_by_kind`` /
     ``last`` / iteration / ``len``) is unchanged; ``max_records`` and
-    ``dropped`` are additive.
+    ``dropped`` come from the shared :class:`~repro.obs.substrate.Ring`.
     """
 
     def __init__(self, enabled: bool = True, max_records: Optional[int] = None):
-        if max_records is None:
-            max_records = _default_max_records()
-        if max_records < 1:
-            raise ValueError("max_records must be >= 1, got %r" % max_records)
+        super().__init__(max_records, DEFAULT_MAX_RECORDS)
         self.enabled = enabled
-        self.max_records = max_records
-        self._records: "deque[TraceRecord]" = deque(maxlen=max_records)
-        self.dropped = 0
 
     def emit(self, time: float, kind: str, subject: str, detail: str = "") -> None:
         """Append a record (no-op when the trace is disabled)."""
         if self.enabled:
-            if len(self._records) == self.max_records:
-                self.dropped += 1
-            self._records.append(TraceRecord(time, kind, subject, detail))
-
-    def __len__(self) -> int:
-        return len(self._records)
-
-    def __iter__(self) -> Iterator[TraceRecord]:
-        return iter(self._records)
+            self.append(TraceRecord(time, kind, subject, detail))
 
     def of_kind(self, kind: str) -> List[TraceRecord]:
         """All retained records of one kind, in emission order."""

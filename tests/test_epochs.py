@@ -17,15 +17,13 @@ from repro.cli import main
 from repro.obs.epochs import (
     EPOCH_TRACE_ENV,
     EpochTracer,
-    epoch_file,
     epoch_trace_doc,
     load_epoch_dir,
     maybe_epoch_tracer,
-    read_epoch_records,
     resolve_epoch_trace,
-    write_epoch_trace,
 )
 from repro.obs.lineage import validate_chrome_trace
+from repro.obs.substrate import read_jsonl, telemetry_dir, write_trace_doc
 from repro.sim.shards import ShardScenario, run_sharded
 
 SCENARIO = ShardScenario(
@@ -51,19 +49,29 @@ class TestResolve:
         tracer = maybe_epoch_tracer(1, 4, 12)
         assert isinstance(tracer, EpochTracer)
         assert tracer.path == tmp_path / "telemetry" / "epochs-1.jsonl"
+        tracer.close()
 
 
 class TestTracerFiles:
+    @pytest.fixture(autouse=True)
+    def _close_tracers(self):
+        self.opened = []
+        yield
+        for tracer in self.opened:
+            tracer.close()
+
     def _tracer(self, tmp_path, shard_id=0):
-        return EpochTracer(
+        tracer = EpochTracer(
             shard_id, 2, 5, base_dir=tmp_path, clock=lambda: 100.0
         )
+        self.opened.append(tracer)
+        return tracer
 
     def test_records_read_back(self, tmp_path):
         tracer = self._tracer(tmp_path)
         tracer.record(0, "a", 0.5, 0.0, {"m": 3, "o": 0}, {1: [("m",), ("m",)]})
         tracer.record(0, "b", 0.25, 0.1, {"f": 1, "p": 2}, {})
-        records = read_epoch_records(tracer.path)
+        records = read_jsonl(tracer.path)
         assert [r["phase"] for r in records] == ["a", "b"]
         first = records[0]
         assert first["shard"] == 0 and first["shards"] == 2
@@ -74,12 +82,12 @@ class TestTracerFiles:
         assert records[1]["barrier_s"] == 0.1
 
     def test_stale_file_rotated_on_first_record(self, tmp_path):
-        path = epoch_file(0, tmp_path)
+        path = telemetry_dir(tmp_path) / "epochs-0.jsonl"
         path.parent.mkdir(parents=True)
         path.write_text('{"epoch": 9, "phase": "b", "stale": true}\n')
         tracer = self._tracer(tmp_path)
         tracer.record(0, "a", 0.1, 0.0, {}, {})
-        records = read_epoch_records(path)
+        records = read_jsonl(path)
         assert len(records) == 1
         assert records[0]["epoch"] == 0
         assert path.with_name(path.name + ".old").exists()
@@ -89,7 +97,7 @@ class TestTracerFiles:
         tracer.record(0, "a", 0.1, 0.0, {}, {})
         with open(tracer.path, "a") as fh:
             fh.write('{"epoch": 1, "phase": "b", "wall')
-        assert len(read_epoch_records(tracer.path)) == 1
+        assert len(read_jsonl(tracer.path)) == 1
 
     def test_load_epoch_dir(self, tmp_path):
         self._tracer(tmp_path, 0).record(0, "a", 0.1, 0.0, {}, {})
@@ -204,8 +212,8 @@ class TestChromeExport:
         assert len(starts) == len(ends) == 2
 
     def test_write_epoch_trace(self, tmp_path):
-        path = write_epoch_trace(
-            _synthetic_records(), tmp_path / "sub" / "trace.json"
+        path = write_trace_doc(
+            epoch_trace_doc(_synthetic_records()), tmp_path / "sub" / "trace.json"
         )
         doc = json.loads(path.read_text())
         validate_chrome_trace(doc)
@@ -215,7 +223,7 @@ class TestChromeExport:
 class TestShardTraceCli:
     def test_export_and_validate(self, tmp_path, capsys):
         for shard, records in _synthetic_records().items():
-            path = epoch_file(shard, tmp_path)
+            path = telemetry_dir(tmp_path) / ("epochs-%d.jsonl" % shard)
             path.parent.mkdir(parents=True, exist_ok=True)
             with open(path, "w") as fh:
                 for rec in records:

@@ -24,8 +24,8 @@ from repro.obs.lineage import (
     hunt_story,
     load_chrome_trace,
     validate_chrome_trace,
-    write_chrome_trace,
 )
+from repro.obs.substrate import write_trace_doc
 
 
 class _Frame:
@@ -170,7 +170,9 @@ class TestChromeTraceExport:
 
     def test_write_load_roundtrip(self, tmp_path):
         records = self._records()
-        path = write_chrome_trace(records, tmp_path / "t" / "lineage.json")
+        path = write_trace_doc(
+            chrome_trace_doc(records), tmp_path / "t" / "lineage.json"
+        )
         assert path.is_file()
         assert load_chrome_trace(path) == records
 
@@ -268,7 +270,7 @@ def lineage_records(city, wigle, tmp_path_factory):
     lineage = result.attacker.sim.lineage
     assert lineage.enabled
     path = tmp_path_factory.mktemp("lineage") / "lineage.json"
-    write_chrome_trace(lineage.records(), path)
+    write_trace_doc(chrome_trace_doc(lineage.records()), path)
     return result, path
 
 

@@ -16,7 +16,7 @@ from repro.analysis.observability import (
     trace_window_counts,
 )
 from repro.obs.artifacts import artifact_dir, artifact_path
-from repro.obs.events import EventSink, read_jsonl, write_events_jsonl
+from repro.obs.events import EventSink
 from repro.obs.registry import (
     FixedHistogram,
     MetricsRegistry,
@@ -26,6 +26,7 @@ from repro.obs.registry import (
     validate_metrics_doc,
 )
 from repro.obs.spans import span
+from repro.obs.substrate import TelemetryLog, read_jsonl
 from repro.sim.simulation import Simulation
 from repro.sim.tracing import Trace
 
@@ -173,14 +174,9 @@ class TestEventSink:
         sink = EventSink()
         sink.emit(1.0, "span", name="run")
         sink.emit(2.0, "hit", ssid="Free WiFi")
-        path = sink.write_jsonl(tmp_path / "events.jsonl")
-        assert read_jsonl(path) == sink.records()
-
-    def test_write_events_jsonl_tags_runs(self, tmp_path):
-        path = tmp_path / "all.jsonl"
-        write_events_jsonl([{"time": 1.0, "kind": "e"}], path, run="r0")
-        write_events_jsonl([{"time": 2.0, "kind": "e"}], path, run="r1")
-        assert [e["run"] for e in read_jsonl(path)] == ["r0", "r1"]
+        with TelemetryLog(tmp_path / "events.jsonl") as log:
+            log.write(*sink)
+        assert read_jsonl(log.path) == sink.records()
 
 
 class TestArtifactDir:

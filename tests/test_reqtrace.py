@@ -18,17 +18,15 @@ from repro.cli import main
 from repro.obs.lineage import validate_chrome_trace
 from repro.obs.reqtrace import (
     DEFAULT_MAX_RECORDS,
+    SPAN_KEYS,
     STAGES,
     RequestTrace,
     load_reqtrace_dir,
     maybe_request_trace,
-    read_reqtrace_records,
     req_trace_doc,
-    reqtrace_dir,
     resolve_req_trace,
-    resolve_req_trace_max,
-    write_req_trace,
 )
+from repro.obs.substrate import read_jsonl, telemetry_dir, write_trace_doc
 from repro.serve.core import RankingCore
 from repro.serve.service import RankingService, run_stream
 from repro.serve.workload import synthetic_stream
@@ -75,14 +73,16 @@ class TestResolveAndRing:
         assert resolve_req_trace(True) is True
 
     def test_resolve_max(self, monkeypatch):
-        monkeypatch.delenv("REPRO_REQ_TRACE_MAX", raising=False)
-        assert resolve_req_trace_max() == DEFAULT_MAX_RECORDS
-        monkeypatch.setenv("REPRO_REQ_TRACE_MAX", "500")
-        assert resolve_req_trace_max() == 500
-        assert resolve_req_trace_max(7) == 7  # explicit arg wins
-        monkeypatch.setenv("REPRO_REQ_TRACE_MAX", "garbage")
-        assert resolve_req_trace_max() == DEFAULT_MAX_RECORDS
-        assert resolve_req_trace_max(0) == 1  # capacity floor
+        monkeypatch.delenv("REPRO_TRACE_MAX", raising=False)
+        assert RequestTrace().max_records == DEFAULT_MAX_RECORDS
+        monkeypatch.setenv("REPRO_TRACE_MAX", "500")
+        assert RequestTrace().max_records == 500
+        assert RequestTrace(7).max_records == 7  # explicit arg wins
+        monkeypatch.setenv("REPRO_TRACE_MAX", "garbage")
+        with pytest.raises(ValueError, match="REPRO_TRACE_MAX"):
+            RequestTrace()
+        with pytest.raises(ValueError, match="max_records"):
+            RequestTrace(0)  # no silent capacity floor
 
     def test_maybe_request_trace_gate(self, monkeypatch):
         monkeypatch.delenv("REPRO_REQ_TRACE", raising=False)
@@ -113,12 +113,12 @@ class TestFilesAndReaders:
         trace = RequestTrace(max_records=10)
         trace.record("rank", 0, 5.0, 0.001)
         first = trace.flush(tmp_path)
-        assert first.parent == reqtrace_dir(tmp_path)
+        assert first.parent == telemetry_dir(tmp_path)
         trace.record("rank", 1, 6.0, 0.001)
         second = trace.flush(tmp_path)
         assert second == first
         assert first.with_name(first.name + ".old").exists()
-        records = read_reqtrace_records(second)
+        records = read_jsonl(second, SPAN_KEYS)
         assert [r["seq"] for r in records] == [0, 1]
 
     def test_reader_skips_torn_and_foreign_lines(self, tmp_path):
@@ -129,7 +129,7 @@ class TestFilesAndReaders:
             + '{"not": "a span"}\n'
             + '{"stage": "rank", "seq": 4, "sta'  # torn final line
         )
-        records = read_reqtrace_records(path)
+        records = read_jsonl(path, SPAN_KEYS)
         assert records == [good]
 
     def test_load_dir_aggregates_sorted(self, tmp_path):
@@ -179,7 +179,7 @@ class TestChromeExport:
 
     def test_write_req_trace_roundtrip(self, tmp_path):
         out = tmp_path / "req_trace.json"
-        write_req_trace(spans(n_seq=2), out)
+        write_trace_doc(req_trace_doc(spans(n_seq=2)), out)
         validate_chrome_trace(json.loads(out.read_text()))
 
 
@@ -200,7 +200,7 @@ class TestServiceWiring:
     def test_off_by_default(self, city, wigle, artifact_dir):
         service = self.run(city, wigle)
         assert service.reqtrace is None
-        assert not list(reqtrace_dir(artifact_dir).glob("reqtrace-*"))
+        assert not list(telemetry_dir(artifact_dir).glob("reqtrace-*"))
 
     def test_all_stages_recorded_and_flushed(
         self, city, wigle, artifact_dir
@@ -221,7 +221,7 @@ class TestServiceWiring:
         assert gauges["reqtrace.records"] == len(records)
         assert gauges["reqtrace.dropped"] == 0
         # finish() flushed the ring; the export validates end to end
-        flushed = load_reqtrace_dir(reqtrace_dir(artifact_dir))
+        flushed = load_reqtrace_dir(telemetry_dir(artifact_dir))
         assert len(flushed) == len(records)
         doc = req_trace_doc(flushed)
         validate_chrome_trace(doc)
@@ -272,7 +272,7 @@ class TestServiceWiring:
         self, city, wigle, artifact_dir, monkeypatch
     ):
         monkeypatch.setenv("REPRO_REQ_TRACE", "1")
-        monkeypatch.setenv("REPRO_REQ_TRACE_MAX", "50")
+        monkeypatch.setenv("REPRO_TRACE_MAX", "50")
         service = self.run(city, wigle)  # env-gated this time
         assert len(service.reqtrace) == 50
         assert service.reqtrace.dropped > 0

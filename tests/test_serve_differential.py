@@ -133,7 +133,7 @@ class TestObserveOnly:
         self, recording, city, wigle, queue_max, monkeypatch, tmp_path
     ):
         monkeypatch.setenv("REPRO_REQ_TRACE", "1")
-        monkeypatch.setenv("REPRO_SERVE_HEARTBEAT", "0.05")
+        monkeypatch.setenv("REPRO_HEARTBEAT", "0.05")
         # finish() flushes reqtrace JSONL; keep it out of the repo tree.
         monkeypatch.setenv("REPRO_ARTIFACT_DIR", str(tmp_path))
         core = recording.seeded_core(wigle, city)

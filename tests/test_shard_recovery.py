@@ -23,7 +23,9 @@ from repro.faults.shards import (
     ShardFaultParams,
     target_shard,
 )
+from repro.obs.epochs import load_epoch_dir
 from repro.obs.registry import MetricsRegistry
+from repro.obs.substrate import read_jsonl
 from repro.obs.telemetry import (
     OPS_EVENTS_FILE,
     append_ops_event,
@@ -384,6 +386,40 @@ class TestCrashRecovery:
                 mode="inline",
                 faults=_crash_plan(crash_epoch=None, corrupt_epoch=4),
             )
+
+
+class TestRecoveredRunTelemetry:
+    def test_respawn_appends_to_the_runs_trace_files(
+        self, artifact_dir, monkeypatch
+    ):
+        """A respawned worker continues its run's telemetry files, so
+        the live epoch and heartbeat files keep the pre-crash epochs
+        next to the replayed ones (nothing is rotated to ``.old``)."""
+        monkeypatch.setenv("REPRO_HEARTBEAT", "0.05")
+        scenario = ShardScenario(  # 30 epochs of 5 s
+            stations=80, sensors=10, duration=150.0, seed=13, size_m=360.0
+        )
+        result = run_sharded(
+            scenario,
+            shards=2,
+            mode="process",
+            epoch_trace=True,
+            ckpt_every=5,
+            faults=_crash_plan(crash_epoch=20, shard=0),
+        )
+        assert result.metrics["counters"]["shardops.recovery.crashes"] == 1
+        telemetry = artifact_dir / "telemetry"
+        by_shard = load_epoch_dir(telemetry)
+        assert sorted(by_shard) == [0, 1]
+        for records in by_shard.values():
+            for phase in ("a", "b"):
+                epochs = {r["epoch"] for r in records if r["phase"] == phase}
+                assert epochs == set(range(30))
+        for shard in range(2):
+            beats = read_jsonl(telemetry / ("shard-%d.jsonl" % shard))
+            assert beats[0]["epoch"] == 0
+            assert beats[-1]["done"] is True
+        assert not list(telemetry.glob("*.old"))
 
 
 class TestConcurrentRuns:

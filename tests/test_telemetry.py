@@ -11,13 +11,12 @@ import time
 import pytest
 
 from repro.cli import main
+from repro.obs.substrate import read_jsonl, telemetry_dir
 from repro.obs.telemetry import (
     DEFAULT_INTERVAL_S,
     HeartbeatWriter,
     clear_heartbeats,
-    heartbeat_dir,
     maybe_heartbeat,
-    read_heartbeats,
     render_watch,
     resolve_heartbeat_interval,
     set_current_spec,
@@ -57,7 +56,7 @@ class TestHeartbeatWriter:
             "spec-a", 300.0, progress, interval_s=60.0, base_dir=tmp_path
         ) as hb:
             pass
-        records = read_heartbeats(hb.path)
+        records = read_jsonl(hb.path)
         assert len(records) == 2
         first, last = records
         assert first["spec"] == "spec-a"
@@ -73,7 +72,7 @@ class TestHeartbeatWriter:
             base_dir=tmp_path,
         ) as hb:
             time.sleep(0.3)
-        records = read_heartbeats(hb.path)
+        records = read_jsonl(hb.path)
         assert len(records) >= 4  # enter + several beats + done
 
     def test_fraction_capped_at_one(self, tmp_path):
@@ -82,7 +81,7 @@ class TestHeartbeatWriter:
             base_dir=tmp_path,
         ) as hb:
             pass
-        assert all(r["fraction"] == 1.0 for r in read_heartbeats(hb.path))
+        assert all(r["fraction"] == 1.0 for r in read_jsonl(hb.path))
 
     def test_torn_progress_reuses_last(self, tmp_path):
         calls = {"n": 0}
@@ -97,7 +96,7 @@ class TestHeartbeatWriter:
             "spec-d", 100.0, progress, interval_s=60.0, base_dir=tmp_path
         ) as hb:
             pass
-        records = read_heartbeats(hb.path)
+        records = read_jsonl(hb.path)
         assert records[-1]["sim_time"] == 42.0
         assert records[-1]["hits"] == 3
 
@@ -131,10 +130,10 @@ class TestHeartbeatWriter:
             pass
         with HeartbeatWriter("spec-2", 10.0, lambda: (0.0, 0), **kwargs) as hb:
             pass
-        records = read_heartbeats(hb.path)
+        records = read_jsonl(hb.path)
         assert {r["spec"] for r in records} == {"spec-2"}
         old = hb.path.with_name(hb.path.name + ".old")
-        assert {r["spec"] for r in read_heartbeats(old)} == {"spec-1"}
+        assert {r["spec"] for r in read_jsonl(old)} == {"spec-1"}
         # rows come only from the live file
         rows = watch_snapshot(tmp_path / "telemetry", now=time.time())
         assert len(rows) == 1 and rows[0]["spec"] == "spec-2"
@@ -147,7 +146,7 @@ class TestHeartbeatWriter:
             base_dir=tmp_path, extra=lambda: {"epoch": 3, "epochs": 12},
         ) as hb:
             pass
-        records = read_heartbeats(hb.path)
+        records = read_jsonl(hb.path)
         assert all(r["epoch"] == 3 and r["epochs"] == 12 for r in records)
 
     def test_extra_torn_read_skipped(self, tmp_path):
@@ -159,7 +158,7 @@ class TestHeartbeatWriter:
             base_dir=tmp_path, extra=extra,
         ) as hb:
             pass
-        records = read_heartbeats(hb.path)
+        records = read_jsonl(hb.path)
         assert records and all("epoch" not in r for r in records)
 
 
@@ -199,7 +198,7 @@ class TestWatcher:
         path = _write_worker(tmp_path, 21, 10.0)
         with open(path, "a") as fh:
             fh.write('{"wall": 99, "truncat')  # crashed mid-write
-        records = read_heartbeats(path)
+        records = read_jsonl(path)
         assert len(records) == 1
         assert records[0]["wall"] == 10.0
 
@@ -222,7 +221,9 @@ class TestWatcher:
 
     def test_heartbeat_dir_under_artifacts(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_ARTIFACT_DIR", str(tmp_path))
-        assert heartbeat_dir() == tmp_path / "telemetry"
+        assert telemetry_dir() == tmp_path / "telemetry"
+        hb = HeartbeatWriter("spec", 1.0, lambda: (0.0, 0))
+        assert hb.path.parent == tmp_path / "telemetry"
 
 
 class TestWatchCli:
@@ -405,23 +406,19 @@ def _write_serve(directory, pid, walls, committed=None, events=800,
 
 
 class TestServeInterval:
-    def test_off_by_default(self, monkeypatch):
-        from repro.obs.telemetry import resolve_serve_heartbeat_interval
+    def test_off_by_default(self, city, wigle, tmp_path, monkeypatch):
+        """The service heartbeats only when ``REPRO_HEARTBEAT`` is set."""
+        from repro.serve.core import RankingCore
+        from repro.serve.service import run_stream
+        from repro.serve.workload import synthetic_stream
 
-        monkeypatch.delenv("REPRO_SERVE_HEARTBEAT", raising=False)
-        assert resolve_serve_heartbeat_interval() is None
-
-    def test_separate_from_executor_heartbeats(self, monkeypatch):
-        from repro.obs.telemetry import resolve_serve_heartbeat_interval
-
-        # Executor heartbeats on must not arm serve heartbeats.
-        monkeypatch.setenv("REPRO_HEARTBEAT", "1")
-        monkeypatch.delenv("REPRO_SERVE_HEARTBEAT", raising=False)
-        assert resolve_serve_heartbeat_interval() is None
-        monkeypatch.setenv("REPRO_SERVE_HEARTBEAT", "0.5")
-        assert resolve_serve_heartbeat_interval() == 0.5
-        monkeypatch.setenv("REPRO_SERVE_HEARTBEAT", "on")
-        assert resolve_serve_heartbeat_interval() == DEFAULT_INTERVAL_S
+        monkeypatch.setenv("REPRO_ARTIFACT_DIR", str(tmp_path))
+        monkeypatch.delenv("REPRO_HEARTBEAT", raising=False)
+        core = RankingCore.seeded(
+            wigle, city.heatmap, city.venues[0].region.center, seed=0
+        )
+        run_stream(core, synthetic_stream(8, 50, seed=0))
+        assert not list(tmp_path.glob("telemetry/serve-*.jsonl"))
 
 
 class TestServeWatchRows:
@@ -546,15 +543,14 @@ class TestServiceHeartbeatIntegration:
         from repro.serve.workload import synthetic_stream
 
         monkeypatch.setenv("REPRO_ARTIFACT_DIR", str(tmp_path))
-        monkeypatch.setenv("REPRO_SERVE_HEARTBEAT", "0.05")
-        monkeypatch.delenv("REPRO_HEARTBEAT", raising=False)
+        monkeypatch.setenv("REPRO_HEARTBEAT", "0.05")
         core = RankingCore.seeded(
             wigle, city.heatmap, city.venues[0].region.center, seed=0
         )
         run_stream(core, synthetic_stream(8, 200, seed=0))
         files = list((tmp_path / "telemetry").glob("serve-*.jsonl"))
         assert len(files) == 1
-        records = read_heartbeats(files[0])
+        records = read_jsonl(files[0])
         assert records[-1]["done"] is True
         assert records[-1]["kind"] == "serve"
         assert records[-1]["committed"] == 200
